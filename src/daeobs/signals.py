@@ -3,7 +3,11 @@
 Signals are stored densely: a time grid plus one column of values per time
 point.  The integrator is classical fixed-step RK4 with linear
 interpolation of the input at half steps, giving global order 4 on the
-linear systems used throughout the package.
+linear systems used throughout the package.  On a linear system one such
+step is exactly the recurrence  x+ = M x + N0 u_i + N1 u_{i+1};  the exact
+RK4 propagator (M, N0, N1) is read off the step formula once, and the
+recurrence runs as a blocked scan over blocks of ``SCAN_BLOCK`` steps, so
+no Python loop runs per step.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .errors import InputError
 from .linalg import as_matrix, as_vector
 
 GRID_RTOL = 1e-9
+SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,44 @@ def uniform_grid(t1: float, step: float) -> np.ndarray:
     return np.linspace(0.0, t1, n + 1) if t1 > 0 else np.array([0.0])
 
 
+def _rk4_step(A, B, h: float, x, u0, u1):
+    """One RK4 step of  xdot = A x + B u  with u linear between u0 and u1.
+
+    Works column-wise, so ``x``, ``u0`` and ``u1`` may be matrices.
+    """
+    um = 0.5 * (u0 + u1)
+    k1 = A @ x + B @ u0
+    k2 = A @ (x + 0.5 * h * k1) + B @ um
+    k3 = A @ (x + 0.5 * h * k2) + B @ um
+    k4 = A @ (x + h * k3) + B @ u1
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_propagator(A, B, h: float):
+    """Exact matrices of one RK4 step:  x+ = M x + N0 u_i + N1 u_{i+1}.
+
+    The step is linear in (x, u_i, u_{i+1}), so applying it once to the
+    identity columns of all three yields (M, N0, N1); M is the degree-4
+    Taylor polynomial of e^{hA}.
+    """
+    n, k = B.shape
+    eye = np.eye(n + 2 * k)
+    S = _rk4_step(A, B, h, eye[:n], eye[n:n + k], eye[n + k:])
+    return S[:, :n], S[:, n:n + k], S[:, n + k:]
+
+
 def integrate_lti(A, B, x0, u: SampledSignal) -> SampledSignal:
     """Fixed-step RK4 integration of  xdot = A x + B u  along u's grid.
 
     The input is linearly interpolated at half steps; global error is
     O(h^4).  Requires a uniform grid.
+
+    The steps are evaluated through the exact RK4 propagator as a blocked
+    scan: the input term of every step is one matmul; the zero-state
+    response inside every block of ``SCAN_BLOCK`` steps advances for all
+    blocks at once; a loop over the block starts chains the blocks with
+    M^SCAN_BLOCK; and the free response M^j x_start is added to every block
+    with one batched matmul.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -118,19 +156,30 @@ def integrate_lti(A, B, x0, u: SampledSignal) -> SampledSignal:
     h = u.step
     N = u.grid.size - 1
     out = np.empty((n, N + 1))
-    x = x0.astype(float).copy()
-    out[:, 0] = x
+    out[:, 0] = x0
+    if N == 0:
+        return SampledSignal(u.grid.copy(), out)
+    M, N0, N1 = _rk4_propagator(A, B, h)
     U = u.values
-    for i in range(N):
-        u0 = U[:, i]
-        u1 = U[:, i + 1]
-        um = 0.5 * (u0 + u1)
-        k1 = A @ x + B @ u0
-        k2 = A @ (x + 0.5 * h * k1) + B @ um
-        k3 = A @ (x + 0.5 * h * k2) + B @ um
-        k4 = A @ (x + h * k3) + B @ u1
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[:, i + 1] = x
+    b = min(SCAN_BLOCK, N)
+    nb = -(-N // b)
+    # Y[q, j]: state after step j + 1 of block q.  It starts as the input
+    # term N0 u_i + N1 u_{i+1} of that step, becomes the response from a
+    # zero block start, and finally (after the chaining) the true state.
+    Y = np.zeros((nb * b, n))
+    Y[:N] = np.vstack([U[:, :-1], U[:, 1:]]).T @ np.hstack([N0, N1]).T
+    Y = Y.reshape(nb, b, n)
+    powers = np.empty((b, n, n))  # powers[j] = M^(j + 1)
+    powers[0] = M
+    for j in range(1, b):
+        Y[:, j] += Y[:, j - 1] @ M.T
+        powers[j] = M @ powers[j - 1]
+    starts = np.empty((nb, n))
+    starts[0] = x0
+    for q in range(nb - 1):
+        starts[q + 1] = powers[-1] @ starts[q] + Y[q, -1]
+    Y += np.matmul(powers, starts.T).transpose(2, 0, 1)
+    out[:, 1:] = Y.reshape(nb * b, n)[:N].T
     return SampledSignal(u.grid.copy(), out)
 
 
@@ -162,18 +211,16 @@ def simpson(grid, vals) -> float:
     h = SampledSignal(grid, vals.reshape(1, -1)).step
     if N == 1:
         return float(0.5 * h * (vals[0] + vals[1]))
-    if N == 2:
-        return float(h / 3.0 * (vals[0] + 4.0 * vals[1] + vals[2]))
-    total = 0.0
+    w = np.zeros(N + 1)
     stop = N if N % 2 == 0 else N - 3
-    for i in range(0, stop, 2):
-        total += h / 3.0 * (vals[i] + 4.0 * vals[i + 1] + vals[i + 2])
+    if stop:
+        w[1:stop:2] = 4.0
+        w[2:stop:2] = 2.0
+        w[[0, stop]] = 1.0
+        w[:stop + 1] *= h / 3.0
     if N % 2 == 1:
-        j = N - 3
-        total += 3.0 * h / 8.0 * (
-            vals[j] + 3.0 * vals[j + 1] + 3.0 * vals[j + 2] + vals[j + 3]
-        )
-    return float(total)
+        w[N - 3:] += 3.0 * h / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
+    return float(w @ vals)
 
 
 def quadratic_form_series(M, sig: SampledSignal) -> np.ndarray:

@@ -37,7 +37,6 @@ from .signals import (
 __all__ = [
     "ExperimentResult",
     "NoiseRealization",
-    "integrate_lti",
     "noise_system",
     "autonomous_system",
     "sample_admissible",
@@ -237,13 +236,37 @@ class ExperimentResult:
         return float(np.max(np.abs(self.error.values[0, -tail:])))
 
 
+def _coupled_system(lti: AssociatedLti, H, obsv: Observer):
+    """(A, B) of the plant and the observer as one system.
+
+    The state is [v; s] and the input [g; eta]: the reduced plant
+    vdot = A_l v + B_l g  emits  y = H (C_s v + D_s g) + eta,  which drives
+    sdot = A_o s + B_o y.  Integrating both together evaluates y at the RK4
+    half steps exactly instead of interpolating its samples.
+    """
+    n, m = lti.n_hat, obsv.n_hat
+    k, p = lti.k, obsv.p
+    BH = obsv.B_o @ H
+    A = np.zeros((n + m, n + m))
+    A[:n, :n] = lti.A_l
+    A[n:, :n] = BH @ lti.C_s
+    A[n:, n:] = obsv.A_o
+    B = np.zeros((n + m, k + p))
+    B[:n, :k] = lti.B_l
+    B[n:, :k] = BH @ lti.D_s
+    B[n:, k:] = obsv.B_o
+    return A, B
+
+
 def run_estimation(prob: EstimationProblem, obsv: Observer,
                    realization: NoiseRealization, t1: float,
                    record: ConstructionRecord | None = None) -> ExperimentResult:
     """Simulate the observed DAE under a realization and run the observer.
 
-    ``record`` may carry the prebuilt reduction of the matching
-    noise/autonomous system to avoid reconstructing it per run.
+    Plant and observer are integrated together as one linear system (see
+    ``_coupled_system``).  ``record`` may carry the prebuilt reduction of
+    the matching noise/autonomous system to avoid reconstructing it per
+    run.
     """
     if record is None:
         sys = autonomous_system(prob) if realization.autonomous \
@@ -254,17 +277,26 @@ def run_estimation(prob: EstimationProblem, obsv: Observer,
         raise ConsistencyError(
             "realization initial state is inconsistent for the observed DAE"
         )
+    if obsv.p != prob.p:
+        raise InputError(
+            f"output dimension {prob.p} does not match observer "
+            f"input dimension {obsv.p}"
+        )
     g = realization.g.truncated(t1)
     eta = realization.eta.truncated(t1)
     v0 = lti.Lambda @ realization.x0
-    x, _, _ = output_trajectory_from_v0(lti, v0, g)
-    y = SampledSignal(g.grid, prob.obs.H @ x.values + eta.values)
-    est = run_observer(obsv, y)
-    truth = (prob.ell @ prob.obs.F) @ x.values
-    err = truth - est.values[0]
+    z = integrate_lti(*_coupled_system(lti, prob.obs.H, obsv),
+                      np.concatenate([v0, np.zeros(obsv.n_hat)]),
+                      SampledSignal(g.grid, np.vstack([g.values, eta.values])))
+    v, s = z.values[:lti.n_hat], z.values[lti.n_hat:]
+    x = lti.C_s @ v + lti.D_s @ g.values
+    y = SampledSignal(g.grid, prob.obs.H @ x + eta.values)
+    est = obsv.C_o @ s
+    truth = (prob.ell @ prob.obs.F) @ x
+    err = truth - est[0]
     return ExperimentResult(
         y=y,
-        estimate=est,
+        estimate=SampledSignal(g.grid, est),
         truth=SampledSignal(g.grid, truth.reshape(1, -1)),
         error=SampledSignal(g.grid, err.reshape(1, -1)),
     )

@@ -11,6 +11,30 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_are
 
 
+def rk4_loop(A, B, x0, h: float, U) -> np.ndarray:
+    """Reference RK4 integration of  xdot = A x + B u,  one Python
+    iteration per step, with u linearly interpolated at half steps.
+
+    ``U`` holds one input sample per column; returns the states as
+    columns, starting with x0.
+    """
+    A, B, U = (np.asarray(M, dtype=float) for M in (A, B, U))
+    x = np.asarray(x0, dtype=float).copy()
+    out = np.empty((x.size, U.shape[1]))
+    out[:, 0] = x
+    for i in range(U.shape[1] - 1):
+        u0 = U[:, i]
+        u1 = U[:, i + 1]
+        um = 0.5 * (u0 + u1)
+        k1 = A @ x + B @ u0
+        k2 = A @ (x + 0.5 * h * k1) + B @ um
+        k3 = A @ (x + 0.5 * h * k2) + B @ um
+        k4 = A @ (x + h * k3) + B @ u1
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[:, i + 1] = x
+    return out
+
+
 def penrose_defects(M: np.ndarray, Mp: np.ndarray) -> dict[str, float]:
     """Residuals of the four Moore-Penrose identities."""
     return {

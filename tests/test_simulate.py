@@ -18,8 +18,10 @@ from daeobs import (
     synthesize_estimator,
     uniform_grid,
 )
+from daeobs.fixtures import data_path
 from daeobs.observer import worst_case_bound
-from daeobs.simulate import noise_system
+from daeobs.problem_io import load_problem
+from daeobs.simulate import autonomous_system, noise_system
 
 from .test_observer import classical_problem
 
@@ -162,6 +164,41 @@ class TestEstimationExperiment:
         _, fin = estimation_experiment(prob, obsv, real, t1)
         bound = worst_case_bound(synth, prob.ell, t1)
         assert fin <= bound + 1e-6
+
+    def test_observer_of_other_output_rejected(self):
+        from daeobs import InputError
+        prob = classical_problem()
+        one_output = EstimationProblem(
+            ObservedDae(prob.obs.F, prob.obs.A, prob.obs.H[:1]),
+            prob.Q0, prob.Q, np.eye(1), prob.ell)
+        real = clean_realization(prob, 1.0, seed=0)
+        with pytest.raises(InputError):
+            estimation_experiment(prob, synthesize(one_output), real, 1.0)
+
+    @pytest.mark.parametrize("name", ["est_classical.json", "est_rank1.json"])
+    def test_clean_error_matches_exact_coupled_solution(self, name):
+        # Noise-free, plant and observer form one autonomous system
+        # zdot = A_aug z with z = [v; s]; its exact solution is
+        # expm(A_aug t) z0, and the integrated error trace must agree with
+        # it to far better than the O(h^2) of interpolating y.
+        from scipy.linalg import expm
+        prob = load_problem(str(data_path(name))).problem
+        obsv = synthesize(prob)
+        t1, step = 15.0, 2e-3
+        real = clean_realization(prob, t1, seed=0, step=step)
+        trace, _ = estimation_experiment(prob, obsv, real, t1)
+        lti = construct(autonomous_system(prob)).lti
+        n, m = lti.n_hat, obsv.n_hat
+        A_aug = np.block([
+            [lti.A_l, np.zeros((n, m))],
+            [obsv.B_o @ prob.obs.H @ lti.C_s, obsv.A_o],
+        ])
+        z0 = np.concatenate([lti.Lambda @ real.x0, np.zeros(m)])
+        z = expm(A_aug[None] * trace.grid[:, None, None]) @ z0
+        exact = z[:, :n] @ (prob.ell @ prob.obs.F @ lti.C_s) - z[:, n:] @ obsv.C_o[0]
+        err = trace.values[0]
+        assert np.max(np.abs(err)) > 1e-3
+        assert np.max(np.abs(err - exact)) <= 1e-10 * (1 + np.max(np.abs(err)))
 
     def test_rank_deficient_F_experiment(self):
         F = np.diag([1.0, 0.0, 0.0])
