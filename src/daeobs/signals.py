@@ -100,29 +100,22 @@ def uniform_grid(t1: float, step: float) -> np.ndarray:
     return np.linspace(0.0, t1, n + 1) if t1 > 0 else np.array([0.0])
 
 
-def _rk4_step(A, B, h: float, x, u0, u1):
-    """One RK4 step of  xdot = A x + B u  with u linear between u0 and u1.
+def _rk4_propagator(A, B, h: float):
+    """Exact matrices of one RK4 step:  x+ = M x + N0 u_i + N1 u_{i+1}.
 
-    Works column-wise, so ``x``, ``u0`` and ``u1`` may be matrices.
+    The step (input linear between u_i and u_{i+1}) is linear in
+    (x, u_i, u_{i+1}), so applying it once to the identity columns of all
+    three yields (M, N0, N1); M is the degree-4 Taylor polynomial of e^{hA}.
     """
+    n, k = B.shape
+    eye = np.eye(n + 2 * k)
+    x, u0, u1 = eye[:n], eye[n:n + k], eye[n + k:]
     um = 0.5 * (u0 + u1)
     k1 = A @ x + B @ u0
     k2 = A @ (x + 0.5 * h * k1) + B @ um
     k3 = A @ (x + 0.5 * h * k2) + B @ um
     k4 = A @ (x + h * k3) + B @ u1
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_propagator(A, B, h: float):
-    """Exact matrices of one RK4 step:  x+ = M x + N0 u_i + N1 u_{i+1}.
-
-    The step is linear in (x, u_i, u_{i+1}), so applying it once to the
-    identity columns of all three yields (M, N0, N1); M is the degree-4
-    Taylor polynomial of e^{hA}.
-    """
-    n, k = B.shape
-    eye = np.eye(n + 2 * k)
-    S = _rk4_step(A, B, h, eye[:n], eye[n:n + k], eye[n + k:])
+    S = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return S[:, :n], S[:, n:n + k], S[:, n + k:]
 
 

@@ -165,6 +165,25 @@ class TestEstimationExperiment:
         bound = worst_case_bound(synth, prob.ell, t1)
         assert fin <= bound + 1e-6
 
+    def test_one_integration_per_sample_and_per_run(self, monkeypatch):
+        import daeobs.lti
+        import daeobs.simulate
+        from daeobs.signals import integrate_lti
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return integrate_lti(*args)
+
+        monkeypatch.setattr(daeobs.lti, "integrate_lti", counted)
+        monkeypatch.setattr(daeobs.simulate, "integrate_lti", counted)
+        prob = classical_problem()
+        obsv = synthesize(prob)
+        real = sample_admissible(prob, 2.0, seed=0)
+        assert len(calls) == 1
+        estimation_experiment(prob, obsv, real, 2.0)
+        assert len(calls) == 2
+
     def test_observer_of_other_output_rejected(self):
         from daeobs import InputError
         prob = classical_problem()
