@@ -36,20 +36,15 @@ from .geometric import (
 )
 from .linalg import (
     Subspace,
-    contains,
     image_basis,
     inv_sqrt_spd,
     kernel_basis,
-    preimage,
     pseudoinverse,
-    subspace_intersection,
-    subspace_sum,
 )
 from .lti import (
     AssociatedLti,
     ConstructionRecord,
     assemble,
-    build_associated_lti,
     construct,
     is_consistent,
     output_trajectory,
@@ -123,12 +118,10 @@ __all__ = [
     "Subspace",
     "assemble",
     "assemble_controller",
-    "build_associated_lti",
     "build_equivalence",
     "canonical_form",
     "clean_realization",
     "construct",
-    "contains",
     "dual_dae",
     "estimation_experiment",
     "evaluate_cost",
@@ -148,7 +141,6 @@ __all__ = [
     "output_nulling",
     "output_trajectory",
     "output_trajectory_from_v0",
-    "preimage",
     "pseudoinverse",
     "q0_bar",
     "randomized_construction",
@@ -156,8 +148,6 @@ __all__ = [
     "run_observer",
     "sample_admissible",
     "solve_are",
-    "subspace_intersection",
-    "subspace_sum",
     "synthesize",
     "synthesize_estimator",
     "uniform_grid",

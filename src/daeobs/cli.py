@@ -73,16 +73,59 @@ def _require_kind(loaded: LoadedProblem, kind: str):
         )
 
 
-def _cmd_synthesize_observer(args) -> int:
+def _control_system(loaded: LoadedProblem):
+    """The control-form DAE of a problem (the adjoint, for estimation)."""
+    if loaded.kind == "control":
+        return loaded.problem.sys
+    return dual_dae(loaded.problem.obs)
+
+
+def _synthesize(args):
+    """Load an estimation problem and synthesize its functional's observer."""
     loaded = load_problem(args.input)
     _require_kind(loaded, "estimation")
     opts = _merge_options(loaded, args)
     prob = loaded.problem
     synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R,
                                  rank_tol=opts.rank_tol, are_tol=opts.are_tol)
-    obsv = synth.for_ell(prob.ell)
-    lti = synth.dual.lti
-    adj = dual_dae(prob.obs)
+    return loaded, opts, synth, synth.for_ell(prob.ell)
+
+
+def _dimensions(rec, input_name: str = "m") -> dict:
+    """Sizes of a reduction, the DAE's input count named ``input_name``."""
+    lti = rec.lti
+    return {
+        "n": rec.sys.n, input_name: rec.sys.m, "r": rec.cf.r,
+        "n_hat": lti.n_hat, "k": lti.k, "dim_X": lti.X.dim,
+    }
+
+
+def _lti_checks(lti, E) -> dict:
+    return {
+        "E_Ds": check_entry(float(np.linalg.norm(E @ lti.D_s)), 1e-9),
+        "Lambda_ECs_minus_I": check_entry(
+            float(np.linalg.norm(lti.Lambda @ (E @ lti.C_s) - np.eye(lti.n_hat))),
+            1e-9),
+    }
+
+
+def _structural_checks(lti, E, ricc, ctrl, opts) -> dict:
+    checks = _lti_checks(lti, E)
+    checks["are_residual"] = check_entry(
+        ricc.residual, opts.are_tol * (1.0 + float(np.linalg.norm(ricc.P))))
+    checks["Bc_E_Cx_minus_I"] = check_entry(
+        float(np.linalg.norm(ctrl.B_c @ E @ ctrl.C_x - np.eye(lti.n_hat))), 1e-9)
+    spec = ctrl.spectrum
+    if spec.size:
+        max_re = float(np.max(spec.real))
+        checks["closed_loop_max_real_part"] = {
+            "value": max_re, "tol": 0.0, "ok": bool(max_re < 0),
+        }
+    return checks
+
+
+def _cmd_synthesize_observer(args) -> int:
+    loaded, opts, synth, obsv = _synthesize(args)
     report = report_envelope("synthesize-observer", loaded, opts)
     report["result"] = {
         "A_o": matrix_to_json(obsv.A_o),
@@ -91,37 +134,13 @@ def _cmd_synthesize_observer(args) -> int:
         "sigma": obsv.sigma,
         "riccati_residual": synth.ricc.residual,
         "observer_spectrum": spectrum_to_json(obsv.spectrum),
-        "dimensions": {
-            "n": prob.n, "p": prob.p, "r": synth.dual.cf.r,
-            "n_hat": lti.n_hat, "k": lti.k, "dim_X": lti.X.dim,
-        },
+        "dimensions": _dimensions(synth.dual, "p"),
     }
-    report["checks"] = _structural_checks(lti, adj.E, synth.ricc, synth.ctrl,
-                                          opts)
+    report["checks"] = _structural_checks(synth.dual.lti, synth.dual.sys.E,
+                                          synth.ricc, synth.ctrl, opts)
     write_report(args.output, report)
     print(f"observer synthesized: sigma = {obsv.sigma:.6e} -> {args.output}")
     return EXIT_OK
-
-
-def _structural_checks(lti, E, ricc, ctrl, opts) -> dict:
-    n_hat = lti.n_hat
-    checks = {
-        "E_Ds": check_entry(float(np.linalg.norm(E @ lti.D_s)), 1e-9),
-        "Lambda_ECs_minus_I": check_entry(
-            float(np.linalg.norm(lti.Lambda @ (E @ lti.C_s) - np.eye(n_hat))), 1e-9),
-        "are_residual": check_entry(
-            ricc.residual, opts.are_tol * (1.0 + float(np.linalg.norm(ricc.P)))),
-    }
-    if ctrl is not None:
-        checks["Bc_E_Cx_minus_I"] = check_entry(
-            float(np.linalg.norm(ctrl.B_c @ E @ ctrl.C_x - np.eye(n_hat))), 1e-9)
-        spec = ctrl.spectrum
-        if spec.size:
-            max_re = float(np.max(spec.real))
-            checks["closed_loop_max_real_part"] = {
-                "value": max_re, "tol": 0.0, "ok": bool(max_re < 0),
-            }
-    return checks
 
 
 def _cmd_solve_lq(args) -> int:
@@ -142,10 +161,7 @@ def _cmd_solve_lq(args) -> int:
         "K": matrix_to_json(ricc.K),
         "riccati_residual": ricc.residual,
         "closed_loop_spectrum": spectrum_to_json(ricc.closed_loop_spectrum),
-        "dimensions": {
-            "n": prob.sys.n, "m": prob.sys.m, "r": rec.cf.r,
-            "n_hat": rec.lti.n_hat, "k": rec.lti.k, "dim_X": rec.lti.X.dim,
-        },
+        "dimensions": _dimensions(rec),
     }
     report["checks"] = _structural_checks(rec.lti, prob.sys.E, ricc, ctrl, opts)
     write_report(args.output, report)
@@ -156,11 +172,7 @@ def _cmd_solve_lq(args) -> int:
 def _cmd_associated_lti(args) -> int:
     loaded = load_problem(args.input)
     opts = _merge_options(loaded, args)
-    if loaded.kind == "control":
-        sys_ = loaded.problem.sys
-    else:
-        sys_ = dual_dae(loaded.problem.obs)
-    rec = construct(sys_, rank_tol=opts.rank_tol)
+    rec = construct(_control_system(loaded), rank_tol=opts.rank_tol)
     lti = rec.lti
     report = report_envelope("associated-lti", loaded, opts)
     report["result"] = {
@@ -174,20 +186,11 @@ def _cmd_associated_lti(args) -> int:
         "D_inp": matrix_to_json(lti.D_inp),
         "Lambda": matrix_to_json(lti.Lambda),
         "X_basis": matrix_to_json(lti.X.basis),
-        "dimensions": {
-            "n": sys_.n, "m": sys_.m, "r": rec.cf.r,
-            "n_hat": lti.n_hat, "k": lti.k, "dim_X": lti.X.dim,
-        },
+        "dimensions": _dimensions(rec),
     }
-    n_hat = lti.n_hat
-    report["checks"] = {
-        "E_Ds": check_entry(float(np.linalg.norm(sys_.E @ lti.D_s)), 1e-9),
-        "Lambda_ECs_minus_I": check_entry(
-            float(np.linalg.norm(lti.Lambda @ (sys_.E @ lti.C_s) - np.eye(n_hat))),
-            1e-9),
-        "rank_ECs_equals_n_hat": {
-            "value": float(n_hat), "tol": float(n_hat), "ok": True,
-        },
+    report["checks"] = _lti_checks(lti, rec.sys.E)
+    report["checks"]["rank_ECs_equals_n_hat"] = {
+        "value": float(lti.n_hat), "tol": float(lti.n_hat), "ok": True,
     }
     write_report(args.output, report)
     print(f"associated linear system -> {args.output}")
@@ -195,13 +198,10 @@ def _cmd_associated_lti(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    loaded = load_problem(args.input)
-    _require_kind(loaded, "estimation")
-    opts = _merge_options(loaded, args)
+    if args.runs < 1:
+        raise InputError("--runs must be at least 1")
+    loaded, opts, synth, obsv = _synthesize(args)
     prob = loaded.problem
-    synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R,
-                                 rank_tol=opts.rank_tol, are_tol=opts.are_tol)
-    obsv = synth.for_ell(prob.ell)
     os.makedirs(args.output_dir, exist_ok=True)
     t1 = opts.horizon
     bound = worst_case_bound(synth, prob.ell, t1) + 1e-6
@@ -250,10 +250,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_check_equivalence(args) -> int:
     loaded = load_problem(args.input)
     opts = _merge_options(loaded, args)
-    if loaded.kind == "control":
-        sys_ = loaded.problem.sys
-    else:
-        sys_ = dual_dae(loaded.problem.obs)
+    sys_ = _control_system(loaded)
     rng = np.random.default_rng(opts.seed)
     base = construct(sys_, rank_tol=opts.rank_tol)
     worst: dict[str, float] = {}
@@ -333,24 +330,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code and stderr prefix of each expected error class.
+_ERROR_EXITS = (
+    (NotStabilizableError, EXIT_NOT_STABILIZABLE, "error"),
+    (InestimableError, EXIT_INESTIMABLE, "error"),
+    (InputError, EXIT_INPUT, "error"),
+    (InternalConsistencyError, EXIT_INTERNAL, "internal error"),
+)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except NotStabilizableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_STABILIZABLE
-    except InestimableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INESTIMABLE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InternalConsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - safety net
+    except Exception as exc:
+        for cls, code, prefix in _ERROR_EXITS:
+            if isinstance(exc, cls):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        # safety net
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .linalg import DEFAULT_RANK_TOL, _rank_threshold, _svd, as_matrix
+from .linalg import DEFAULT_RANK_TOL, _rank, _svd, as_matrix
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,18 @@ class CanonicalForm:
         return np.hstack([self.A22, self.B2])
 
 
+def _partition(sys: DaeSystem, S: np.ndarray, T: np.ndarray,
+               r: int) -> CanonicalForm:
+    """Blocks of S A_hat T and S B_hat split at the rank r of E."""
+    M = S @ sys.A_hat @ T
+    B = S @ sys.B_hat
+    return CanonicalForm(
+        sys=sys, S=S, T=T, r=r,
+        A_tilde=M[:r, :r], A12=M[:r, r:], A21=M[r:, :r], A22=M[r:, r:],
+        B1=B[:r, :], B2=B[r:, :],
+    )
+
+
 def canonical_form(sys: DaeSystem,
                    rank_tol: float = DEFAULT_RANK_TOL) -> CanonicalForm:
     """Compute S, T with S E T = diag(I_r, 0) and the induced partitions.
@@ -160,7 +172,7 @@ def canonical_form(sys: DaeSystem,
     E = sys.E
     n = sys.n
     U, s, Vt = _svd(E)
-    r = int(np.sum(s > _rank_threshold(s, E.shape, rank_tol)))
+    r = _rank(s, E.shape, rank_tol)
     if r:
         S = np.vstack([U[:, :r].T / s[:r, None], U[:, r:].T])
     else:
@@ -173,20 +185,7 @@ def canonical_form(sys: DaeSystem,
             f"canonical form defect ||S E T - diag(I_r, 0)|| = {resid:.3e}"
         )
 
-    M = S @ sys.A_hat @ T
-    B = S @ sys.B_hat
-    return CanonicalForm(
-        sys=sys,
-        S=S,
-        T=T,
-        r=r,
-        A_tilde=M[:r, :r],
-        A12=M[:r, r:],
-        A21=M[r:, :r],
-        A22=M[r:, r:],
-        B1=B[:r, :],
-        B2=B[r:, :],
-    )
+    return _partition(sys, S, T, r)
 
 
 def canonical_form_from_transforms(sys: DaeSystem, S, T,
@@ -204,16 +203,10 @@ def canonical_form_from_transforms(sys: DaeSystem, S, T,
         raise InputError("S and T must be square of the system dimension")
     D = S @ sys.E @ T
     s = np.linalg.svd(D, compute_uv=False) if n else np.zeros(0)
-    r = int(np.sum(s > _rank_threshold(s, D.shape, rank_tol)))
+    r = _rank(s, D.shape, rank_tol)
     resid = np.linalg.norm(D - np.diag(np.r_[np.ones(r), np.zeros(n - r)]))
     if resid > 1e-8 * max(1.0, float(np.linalg.norm(D))) * max(n, 1):
         raise InputError(
             f"supplied transforms do not normalize E: defect {resid:.3e}"
         )
-    M = S @ sys.A_hat @ T
-    B = S @ sys.B_hat
-    return CanonicalForm(
-        sys=sys, S=S, T=T, r=r,
-        A_tilde=M[:r, :r], A12=M[:r, r:], A21=M[r:, :r], A22=M[r:, r:],
-        B1=B[:r, :], B2=B[r:, :],
-    )
+    return _partition(sys, S, T, r)

@@ -32,7 +32,7 @@ from .geometric import (
     friend,
 )
 from .linalg import DEFAULT_RANK_TOL, Subspace, pseudoinverse
-from .lti import AssociatedLti, ConstructionRecord, assemble, construct
+from .lti import AssociatedLti, ConstructionRecord, _lift, assemble, construct
 
 STRUCTURAL_TOL = 1e-8
 
@@ -144,14 +144,10 @@ def build_equivalence(rec1: ConstructionRecord, rec2: ConstructionRecord,
     P1perp = rec1.V.perp_projector()
     P2perp = rec2.V.perp_projector()
 
-    blk1 = np.vstack([cf1.T @ np.vstack([np.eye(r), (F1 + L1 @ F_full)[: n - r]]),
-                      (F1 + L1 @ F_full)[n - r:]])
-    blk2 = np.vstack([cf2.T @ np.vstack([np.eye(r), F2[: n - r]]),
-                      F2[n - r:]])
-    d1 = np.vstack([cf1.T @ np.vstack([np.zeros((r, k)), (L1 @ U)[: n - r]]),
-                    (L1 @ U)[n - r:]])
-    d2 = np.vstack([cf2.T @ np.vstack([np.zeros((r, k)), L2[: n - r]]),
-                    L2[n - r:]])
+    blk1 = _lift(cf1, np.eye(r), F1 + L1 @ F_full)
+    blk2 = _lift(cf2, np.eye(r), F2)
+    d1 = _lift(cf1, np.zeros((r, k)), L1 @ U)
+    d2 = _lift(cf2, np.zeros((r, k)), L2)
 
     scale_A = 1.0 + float(np.linalg.norm(A1cl)) + float(np.linalg.norm(A2cl))
     defects = {

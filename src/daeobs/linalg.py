@@ -1,14 +1,15 @@
-"""Rank-aware dense linear algebra: pseudoinverse, kernel/image bases,
-subspace arithmetic and symmetric matrix functions.
+"""Rank-aware dense linear algebra: pseudoinverse, kernel/image bases
+and symmetric matrix functions.
 
 All rank decisions in the package go through a single relative threshold:
 a singular value sigma is treated as zero when
 
     sigma <= rank_tol * sigma_max * max(rows, cols)
 
-with ``rank_tol`` defaulting to :data:`DEFAULT_RANK_TOL`.  Subspaces are
-always stored with orthonormal bases (obtained from SVDs), which keeps
-containment and intersection tests well conditioned.
+with ``rank_tol`` defaulting to :data:`DEFAULT_RANK_TOL`; :func:`_rank`
+is the one place that cut is made.  Subspaces are always stored with
+orthonormal bases (obtained from SVDs), which keeps membership tests well
+conditioned.
 
 Everything here is a pure function of its inputs; the returned values are
 treated as immutable.
@@ -61,17 +62,18 @@ def _svd(M: np.ndarray):
     return U, s, Vt
 
 
-def _rank_threshold(s: np.ndarray, shape, rank_tol: float,
-                    scale: float = 0.0) -> float:
+def _rank(s: np.ndarray, shape, rank_tol: float, scale: float = 0.0) -> int:
+    """Number of singular values ``s`` (descending) of a matrix of the
+    given shape above the relative cut-off, floored by ``scale``."""
     smax = s[0] if s.size else 0.0
-    return rank_tol * max(smax, scale) * max(shape[0], shape[1], 1)
+    return int(np.sum(s > rank_tol * max(smax, scale) * max(shape[0], shape[1], 1)))
 
 
 def numerical_rank(M, rank_tol: float = DEFAULT_RANK_TOL,
                    scale: float = 0.0) -> int:
     M = as_matrix(M)
     _, s, _ = _svd(M)
-    return int(np.sum(s > _rank_threshold(s, M.shape, rank_tol, scale)))
+    return _rank(s, M.shape, rank_tol, scale)
 
 
 def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL,
@@ -90,8 +92,7 @@ def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL,
     if m == 0 or n == 0:
         return np.zeros((n, m))
     U, s, Vt = _svd(M)
-    thresh = _rank_threshold(s, M.shape, rank_tol, scale)
-    r = int(np.sum(s > thresh))
+    r = _rank(s, M.shape, rank_tol, scale)
     if r == 0:
         return np.zeros((n, m))
     return (Vt[:r].T / s[:r]) @ U[:, :r].T
@@ -174,7 +175,7 @@ def kernel_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
     if m == 0 or not np.any(M):
         return Subspace.full(n, tol)
     _, s, Vt = _svd(M)
-    r = int(np.sum(s > _rank_threshold(s, M.shape, rank_tol, scale)))
+    r = _rank(s, M.shape, rank_tol, scale)
     return Subspace(Vt[r:].T.copy(), tol)
 
 
@@ -187,56 +188,8 @@ def image_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
     if n == 0 or not np.any(M):
         return Subspace.zero(m, tol)
     U, s, _ = _svd(M)
-    r = int(np.sum(s > _rank_threshold(s, M.shape, rank_tol, scale)))
+    r = _rank(s, M.shape, rank_tol, scale)
     return Subspace(U[:, :r].copy(), tol)
-
-
-def _check_ambient(V: Subspace, W: Subspace):
-    if V.ambient_dim != W.ambient_dim:
-        raise InputError(
-            f"ambient dimensions differ: {V.ambient_dim} vs {W.ambient_dim}"
-        )
-
-
-def subspace_sum(V: Subspace, W: Subspace,
-                 rank_tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    _check_ambient(V, W)
-    return image_basis(np.hstack([V.basis, W.basis]), rank_tol,
-                       max(V.tol, W.tol))
-
-
-def subspace_intersection(V: Subspace, W: Subspace,
-                          rank_tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """Intersection via the kernel of stacked orthogonal-complement
-    projectors, which stays well conditioned for nearly aligned inputs."""
-    _check_ambient(V, W)
-    stacked = np.vstack([V.perp_projector(), W.perp_projector()])
-    return kernel_basis(stacked, rank_tol, max(V.tol, W.tol))
-
-
-def preimage(M, V: Subspace, rank_tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """The subspace {x : Mx in V}, computed as ker((I - P_V) M).
-
-    The kernel threshold is floored by the scale of M itself, so columns
-    mapped into V up to roundoff are counted as members of the preimage.
-    """
-    M = as_matrix(M)
-    if M.shape[0] != V.ambient_dim:
-        raise InputError(
-            f"map has {M.shape[0]} rows but subspace lives in dimension "
-            f"{V.ambient_dim}"
-        )
-    scale = float(np.linalg.norm(M, 2)) if M.size else 0.0
-    return kernel_basis(V.perp_projector() @ M, rank_tol, V.tol, scale=scale)
-
-
-def contains(V: Subspace, W: Subspace) -> bool:
-    """True iff W is contained in V (within tolerance)."""
-    _check_ambient(V, W)
-    if W.dim == 0:
-        return True
-    resid = W.basis - V.basis @ (V.basis.T @ W.basis)
-    return float(np.linalg.norm(resid)) <= max(V.tol, W.tol) * (1.0 + np.sqrt(W.dim))
 
 
 def require_symmetric(M, name: str = "matrix", tol: float = 1e-9) -> np.ndarray:

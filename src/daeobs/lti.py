@@ -96,6 +96,13 @@ def _check(name: str, defect: float, scale: float, tol: float = BUILD_TOL):
         )
 
 
+def _lift(cf: CanonicalForm, top: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """blkdiag(T, I_m) [top; X] into (x, u): ``top`` and the first n - r
+    rows of ``X`` are canonical state coordinates, the rest are inputs."""
+    n, r = cf.n, cf.r
+    return np.vstack([cf.T @ np.vstack([top, X[: n - r]]), X[n - r:]])
+
+
 def assemble(cf: CanonicalForm, ond: OutputNullingData,
              rank_tol: float = DEFAULT_RANK_TOL) -> ConstructionRecord:
     """Assemble the associated linear system from its ingredients.
@@ -105,7 +112,7 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData,
     equivalent systems.
     """
     sys = cf.sys
-    n, m, r = cf.n, cf.m, cf.r
+    n, r = cf.n, cf.r
     W = ond.V.basis
     n_hat = ond.V.dim
     F_tilde, L = ond.F_tilde, ond.L
@@ -122,15 +129,9 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData,
     A_l = W.T @ Acl @ W
     B_l = W.T @ GL
 
-    # Output map [x; u] = Cbar p + Dbar w in original coordinates:
-    # Cbar = blkdiag(T, I_m) [I_r; F_tilde], Dbar = blkdiag(T, I_m) [0; L].
-    stack_c = np.vstack([np.eye(r), F_tilde[: n - r, :]])
-    C_bar = np.vstack([cf.T @ stack_c, F_tilde[n - r:, :]])
-    stack_d = np.vstack([np.zeros((r, k)), L[: n - r, :]])
-    D_bar = np.vstack([cf.T @ stack_d, L[n - r:, :]])
-
-    C_l = C_bar @ W
-    D_l = D_bar
+    # Output map [x; u] = Cbar p + Dbar w in original coordinates.
+    C_l = _lift(cf, np.eye(r), F_tilde) @ W
+    D_l = _lift(cf, np.zeros((r, k)), L)
     C_s, C_inp = C_l[:n, :], C_l[n:, :]
     D_s, D_inp = D_l[:n, :], D_l[n:, :]
 
@@ -164,11 +165,6 @@ def construct(sys: DaeSystem,
     cf = canonical_form(sys, rank_tol)
     ond = output_nulling(cf, rank_tol)
     return assemble(cf, ond, rank_tol)
-
-
-def build_associated_lti(sys: DaeSystem,
-                         rank_tol: float = DEFAULT_RANK_TOL) -> AssociatedLti:
-    return construct(sys, rank_tol).lti
 
 
 def is_consistent(lti: AssociatedLti, E, x0) -> bool:

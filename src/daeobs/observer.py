@@ -46,8 +46,7 @@ from .riccati import (
     LqWeights,
     RiccatiSolution,
     assemble_controller,
-    is_stabilizable,
-    solve_are_blocks,
+    solve_are,
 )
 
 
@@ -223,15 +222,15 @@ def synthesize_estimator(obs: ObservedDae, Q0, Q, R,
         if not E_match:
             raise InputError("dual_record was not built from the adjoint system")
     lti = rec.lti
-    if not is_stabilizable(lti.A_l, lti.B_l):
+    weights = LqWeights(Q=inv_spd(Q, "Q"), R=inv_spd(R, "R"),
+                        Q0=q0_bar(obs.F, Q0, rank_tol))
+    try:
+        ricc = solve_are(lti, weights, are_tol)
+    except NotStabilizableError as exc:
         raise NotStabilizableError(
             "the linear system associated with the adjoint DAE is not "
             "stabilizable (detectability-type existence condition fails)"
-        )
-    weights = LqWeights(Q=inv_spd(Q, "Q"), R=inv_spd(R, "R"),
-                        Q0=q0_bar(obs.F, Q0, rank_tol))
-    ricc = solve_are_blocks(lti.A_l, lti.B_l, lti.C_l, lti.D_l, weights.S(),
-                            are_tol)
+        ) from exc
     ctrl = assemble_controller(lti, ricc, adj.E)
     return ObserverSynthesis(obs=obs, Q0=Q0, dual=rec, weights=weights,
                              ricc=ricc, ctrl=ctrl)

@@ -58,6 +58,8 @@ class SolverOptions:
             raise ProblemFileError("step must be positive")
         if self.horizon <= 0:
             raise ProblemFileError("horizon must be positive")
+        if self.seed < 0:
+            raise ProblemFileError("seed must be nonnegative")
         if self.trials < 1:
             raise ProblemFileError("trials must be at least 1")
         return self
@@ -129,7 +131,7 @@ def _options_from_json(obj) -> SolverOptions:
     fields = {}
     for key, value in obj.items():
         if key in ("seed", "trials"):
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ProblemFileError(f"option '{key}' must be an integer")
             fields[key] = value
         else:

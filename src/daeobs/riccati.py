@@ -12,9 +12,10 @@ The solver pre-transforms to a standard problem with feedback
 F_hat = -(D^T S D)^{-1} D^T S C and input scaling (D^T S D)^{-1/2}, solves
 it by an ordered Schur decomposition of the Hamiltonian, and polishes the
 result with Newton-Kleinman steps until the residual passes tolerance.
-Stabilizability of (A_l, B_l) is the only existence condition; the
-terminal weight Q0 does not enter the equation because the optimal closed
-loop drives the state to zero.
+Stabilizability of (A_l, B_l) is the only existence condition; the solve
+checks it itself (PBH test) before anything else, so every caller gets the
+same decision.  The terminal weight Q0 does not enter the equation because
+the optimal closed loop drives the state to zero.
 
 The optimal trajectories of the original DAE are then produced by the
 dynamic controller (A_c, B_c, C_x, C_u):
@@ -39,6 +40,7 @@ from .errors import (
     NotStabilizableError,
 )
 from .linalg import (
+    _rank,
     as_matrix,
     as_vector,
     inv_sqrt_spd,
@@ -124,8 +126,7 @@ def is_stabilizable(A_l, B_l, rank_tol: float = 1e-9) -> bool:
         if lam.real < -PBH_EIG_MARGIN * scale:
             continue
         M = np.hstack([A - lam * np.eye(n), B]).astype(complex)
-        s = np.linalg.svd(M, compute_uv=False)
-        if np.sum(s > rank_tol * s[0] * max(M.shape)) < n:
+        if _rank(np.linalg.svd(M, compute_uv=False), M.shape, rank_tol) < n:
             return False
     return True
 
@@ -136,7 +137,9 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
     """Core Riccati solve on raw system blocks.
 
     Accepts any symmetric S with D_l^T S D_l positive definite; the public
-    entry point builds S from validated weights.  The returned P is the
+    entry point builds S from validated weights.  Stabilizability of
+    (A_l, B_l) is decided here, once, by :func:`is_stabilizable`; a system
+    that fails it raises :class:`NotStabilizableError`.  The returned P is the
     stabilizing positive-semidefinite solution (positive definite whenever
     the running cost is observable, which holds for every system built
     from weights Q > 0).
@@ -146,6 +149,8 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
     C = as_matrix(C_l, "C_l")
     D = as_matrix(D_l, "D_l")
     S = as_matrix(S, "S")
+    if not is_stabilizable(A, B):
+        raise NotStabilizableError("associated linear system is not stabilizable")
     n = A.shape[0]
     k = B.shape[1]
     if n == 0:
@@ -155,11 +160,6 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
     CSC = symmetrize(C.T @ S @ C)
     if k == 0:
         spectrum = np.linalg.eigvals(A)
-        if np.max(spectrum.real) >= 0:
-            raise NotStabilizableError(
-                "associated linear system is not stabilizable "
-                "(no inputs and unstable dynamics)"
-            )
         P = symmetrize(solve_continuous_lyapunov(A.T, -CSC))
         resid = float(np.linalg.norm(P @ A + A.T @ P + CSC))
         return RiccatiSolution(P, np.zeros((0, n)), resid, spectrum)
@@ -221,8 +221,6 @@ def solve_are(lti: AssociatedLti, w: LqWeights,
     """Stabilizing solution of the associated LQ Riccati equation."""
     if w.Q.shape[0] != lti.n or w.R.shape[0] != lti.m:
         raise InputError("weight sizes do not match the system")
-    if not is_stabilizable(lti.A_l, lti.B_l):
-        raise NotStabilizableError("associated linear system is not stabilizable")
     return solve_are_blocks(lti.A_l, lti.B_l, lti.C_l, lti.D_l, w.S(), are_tol)
 
 

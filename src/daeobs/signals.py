@@ -75,13 +75,6 @@ class SampledSignal:
         grid = np.asarray(grid, dtype=float)
         return cls(grid, np.zeros((dim, grid.size)))
 
-    @classmethod
-    def from_function(cls, fn, grid, dim: int | None = None) -> "SampledSignal":
-        grid = np.asarray(grid, dtype=float)
-        cols = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in grid]
-        vals = np.column_stack(cols) if cols else np.zeros((dim or 0, 0))
-        return cls(grid, vals)
-
     def truncated(self, t1: float) -> "SampledSignal":
         """Restriction to [0, t1]; t1 must be a grid point."""
         idx = int(np.searchsorted(self.grid, t1 - GRID_RTOL * max(1.0, abs(t1))))
@@ -174,18 +167,6 @@ def integrate_lti(A, B, x0, u: SampledSignal) -> SampledSignal:
     Y += np.matmul(powers, starts.T).transpose(2, 0, 1)
     out[:, 1:] = Y.reshape(nb * b, n)[:N].T
     return SampledSignal(u.grid.copy(), out)
-
-
-def trapezoid(grid, vals) -> float:
-    """Composite trapezoid rule for scalar samples on a (possibly
-    non-uniform) grid."""
-    grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    if grid.size != vals.size:
-        raise InputError("grid and values must have equal length")
-    if grid.size < 2:
-        return 0.0
-    return float(np.trapezoid(vals, grid))
 
 
 def simpson(grid, vals) -> float:

@@ -157,8 +157,28 @@ class TestSimulate:
         est_col = [float(r.split(",")[3]) for r in rows]
         assert max(abs(v) for v in est_col) == 0.0
 
+    def test_zero_runs_exits_1(self, tmp_path, capsys):
+        code = run_cli(["simulate", data_path("est_classical.json"),
+                        "--output-dir", tmp_path / "sim", "--noisy",
+                        "--runs", "0"])
+        assert code == 1
+        assert "--runs must be at least 1" in capsys.readouterr().err
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        code = run_cli(["simulate", data_path("est_classical.json"),
+                        "--output-dir", tmp_path / "sim", "--noisy",
+                        "--seed", "-1"])
+        assert code == 1
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
 
 class TestCheckEquivalence:
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        code = run_cli(["check-equivalence", data_path("ctrl_rank1.json"),
+                        "--output", tmp_path / "r.json", "--seed", "-1"])
+        assert code == 1
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
     def test_rank1_fixture(self, tmp_path):
         out = tmp_path / "r.json"
         assert run_cli(["check-equivalence", data_path("ctrl_rank1.json"),

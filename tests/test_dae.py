@@ -119,3 +119,9 @@ class TestCanonicalForm:
         np.testing.assert_array_equal(cf.G, np.hstack([cf.A12, cf.B1]))
         np.testing.assert_array_equal(cf.D_tilde, np.hstack([cf.A22, cf.B2]))
         np.testing.assert_array_equal(cf.C_tilde, cf.A21)
+        # the same transforms supplied explicitly give the same blocks
+        from daeobs.dae import canonical_form_from_transforms
+        cf2 = canonical_form_from_transforms(sys, cf.S, cf.T)
+        assert cf2.r == cf.r
+        for name in ("A_tilde", "A12", "A21", "A22", "B1", "B2"):
+            np.testing.assert_array_equal(getattr(cf2, name), getattr(cf, name))

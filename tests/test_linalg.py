@@ -5,14 +5,10 @@ from daeobs import (
     InputError,
     NotPositiveDefiniteError,
     Subspace,
-    contains,
     image_basis,
     inv_sqrt_spd,
     kernel_basis,
-    preimage,
     pseudoinverse,
-    subspace_intersection,
-    subspace_sum,
 )
 from daeobs.linalg import numerical_rank
 
@@ -95,59 +91,6 @@ class TestKernelImage:
 
     def test_kernel_of_empty_rows_is_full(self):
         assert kernel_basis(np.zeros((0, 4))).dim == 4
-
-
-class TestSubspaceOps:
-    def test_intersection_of_coordinate_planes(self):
-        e = np.eye(3)
-        V = Subspace(e[:, :2])
-        W = Subspace(e[:, 1:])
-        I = subspace_intersection(V, W)
-        assert I.dim == 1
-        np.testing.assert_allclose(np.abs(I.basis.ravel()), [0, 1, 0], atol=1e-12)
-
-    def test_preimage_identity(self):
-        rng = np.random.default_rng(0)
-        V = image_basis(rng.standard_normal((4, 2)))
-        P = preimage(np.eye(4), V)
-        assert P.dim == V.dim
-        assert contains(V, P) and contains(P, V)
-
-    def test_preimage_zero_map_is_full(self):
-        V = Subspace(np.eye(3)[:, :1])
-        P = preimage(np.zeros((3, 5)), V)
-        assert P.dim == 5
-
-    def test_preimage_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            preimage(np.zeros((2, 2)), Subspace(np.eye(3)[:, :1]))
-
-    def test_contains_trivia(self):
-        rng = np.random.default_rng(1)
-        V = image_basis(rng.standard_normal((4, 2)))
-        assert contains(Subspace.full(4), V)
-        assert not contains(Subspace.zero(4), Subspace(np.eye(4)[:, :1]))
-        assert contains(V, V)
-
-    def test_contains_ambient_mismatch(self):
-        with pytest.raises(InputError):
-            contains(Subspace.full(3), Subspace.full(2))
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_modular_dimension_law(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = 6
-        V = image_basis(rng.standard_normal((n, rng.integers(1, n))))
-        W = image_basis(rng.standard_normal((n, rng.integers(1, n))))
-        dim_sum = subspace_sum(V, W).dim
-        dim_int = subspace_intersection(V, W).dim
-        assert dim_sum + dim_int == V.dim + W.dim
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_preimage_of_image_is_full_domain(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        M = rng.standard_normal((4, 3)) @ np.diag([1.0, 1.0, 0.0])
-        assert preimage(M, image_basis(M)).dim == 3
 
 
 class TestInvSqrtSpd:

@@ -137,7 +137,7 @@ class TestSynthesize:
         # unstable scalar state, zero output map
         obs = ObservedDae(np.eye(1), np.array([[1.0]]), np.zeros((1, 1)))
         prob = EstimationProblem(obs, np.eye(1), np.eye(1), np.eye(1), [1.0])
-        with pytest.raises(NotStabilizableError):
+        with pytest.raises(NotStabilizableError, match="adjoint"):
             synthesize(prob)
 
     def test_inestimable_functional_raises(self):

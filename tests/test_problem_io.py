@@ -82,6 +82,19 @@ class TestLoadProblem:
         with pytest.raises(ProblemFileError, match="unknown options"):
             load_problem(write_doc(tmp_path, doc))
 
+    def test_rejects_negative_seed(self, tmp_path):
+        doc = minimal_estimation_doc()
+        doc["options"] = {"seed": -1}
+        with pytest.raises(ProblemFileError, match="seed must be nonnegative"):
+            load_problem(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("key", ["seed", "trials"])
+    def test_rejects_boolean_integer_option(self, tmp_path, key):
+        doc = minimal_estimation_doc()
+        doc["options"] = {key: True}
+        with pytest.raises(ProblemFileError, match=f"'{key}' must be an integer"):
+            load_problem(write_doc(tmp_path, doc))
+
     def test_rejects_bad_kind(self, tmp_path):
         doc = minimal_estimation_doc()
         doc["problem"] = "identification"

@@ -99,6 +99,19 @@ class TestSolveAre:
         with pytest.raises(NotStabilizableError):
             solve_are(lti, w)
 
+    @pytest.mark.parametrize("A, B", [
+        # the unstable mode 1 is outside the range of B: the raw-block
+        # solve rejects it itself instead of failing inside the Schur step
+        (np.diag([1.0, -1.0]), np.array([[0.0], [1.0]])),
+        # no inputs at all
+        (np.diag([1.0, -1.0]), np.zeros((2, 0))),
+    ])
+    def test_blocks_decide_stabilizability(self, A, B):
+        C = np.vstack([np.eye(2), np.zeros((B.shape[1], 2))])
+        D = np.vstack([np.zeros((2, B.shape[1])), np.eye(B.shape[1])])
+        with pytest.raises(NotStabilizableError):
+            solve_are_blocks(A, B, C, D, np.eye(2 + B.shape[1]))
+
     def test_k_zero_lyapunov_branch(self):
         sys = DaeSystem(np.eye(2), np.array([[-1.0, 0.5], [0.0, -2.0]]),
                         np.zeros((2, 0)))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from scipy.integrate import trapezoid
+
 from daeobs import InputError, SampledSignal, uniform_grid
-from daeobs.signals import integrate_lti, simpson, trapezoid
+from daeobs.signals import integrate_lti, simpson
 
 from .oracles import rk4_loop
 
@@ -133,10 +135,6 @@ class TestIntegrator:
 
 
 class TestQuadrature:
-    def test_trapezoid_linear_exact(self):
-        grid = np.linspace(0, 1, 11)
-        assert abs(trapezoid(grid, 2 * grid) - 1.0) <= 1e-14
-
     @pytest.mark.parametrize("n", [10, 11, 101])
     def test_simpson_cubic_exact(self, n):
         grid = np.linspace(0.0, 2.0, n + 1)
@@ -161,6 +159,6 @@ class TestQuadrature:
         grid = np.linspace(0.0, 3.0, 3001)
         vals = np.exp(-grid) * np.sin(2 * grid) ** 2
         s = simpson(grid, vals)
-        t = trapezoid(grid, vals)
+        t = trapezoid(vals, grid)
         assert abs(s - t) <= 1e-6
         assert abs(s - t) > 0.0

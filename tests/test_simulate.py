@@ -54,12 +54,14 @@ class TestSampleAdmissible:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rho_against_independent_trapezoid(self, seed):
-        from daeobs.signals import quadratic_form_series, trapezoid
+        from scipy.integrate import trapezoid
+
+        from daeobs.signals import quadratic_form_series
         prob = classical_problem()
         r = sample_admissible(prob, 5.0, seed=seed)
         running = quadratic_form_series(prob.Q, r.f) + \
             quadratic_form_series(prob.R, r.eta)
-        rho_trap = float(r.x0 @ prob.Q0 @ r.x0 + trapezoid(r.f.grid, running))
+        rho_trap = float(r.x0 @ prob.Q0 @ r.x0 + trapezoid(running, r.f.grid))
         assert abs(rho_trap - r.rho) <= 1e-6
 
     def test_noise_is_consistent_for_the_dae(self):
