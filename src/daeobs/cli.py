@@ -19,12 +19,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .dae import dual_dae
-from .equivalence import build_equivalence, randomized_construction, verify_equivalence
+from .equivalence import (
+    STRUCTURAL_TOL,
+    build_equivalence,
+    randomized_construction,
+    verify_equivalence,
+)
 from .errors import (
     InestimableError,
     InputError,
@@ -46,7 +51,13 @@ from .problem_io import (
     write_report,
 )
 from .riccati import assemble_controller, solve_are
-from .simulate import clean_realization, run_estimation, sample_admissible
+from .simulate import (
+    autonomous_system,
+    clean_realization,
+    noise_system,
+    run_estimation,
+    sample_admissible,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -57,13 +68,12 @@ EXIT_UNEXPECTED = 13
 
 
 def _merge_options(loaded: LoadedProblem, args) -> SolverOptions:
-    opts = loaded.options
     overrides = {}
-    for name in ("rank_tol", "are_tol", "step", "horizon", "seed", "trials"):
-        value = getattr(args, name, None)
+    for f in fields(SolverOptions):
+        value = getattr(args, f.name, None)
         if value is not None:
-            overrides[name] = value
-    return replace(opts, **overrides).validated()
+            overrides[f.name] = value
+    return replace(loaded.options, **overrides).validated()
 
 
 def _require_kind(loaded: LoadedProblem, kind: str):
@@ -100,28 +110,10 @@ def _dimensions(rec, input_name: str = "m") -> dict:
     }
 
 
-def _lti_checks(lti, E) -> dict:
-    return {
-        "E_Ds": check_entry(float(np.linalg.norm(E @ lti.D_s)), 1e-9),
-        "Lambda_ECs_minus_I": check_entry(
-            float(np.linalg.norm(lti.Lambda @ (E @ lti.C_s) - np.eye(lti.n_hat))),
-            1e-9),
-    }
-
-
-def _structural_checks(lti, E, ricc, ctrl, opts) -> dict:
-    checks = _lti_checks(lti, E)
-    checks["are_residual"] = check_entry(
-        ricc.residual, opts.are_tol * (1.0 + float(np.linalg.norm(ricc.P))))
-    checks["Bc_E_Cx_minus_I"] = check_entry(
-        float(np.linalg.norm(ctrl.B_c @ E @ ctrl.C_x - np.eye(lti.n_hat))), 1e-9)
-    spec = ctrl.spectrum
-    if spec.size:
-        max_re = float(np.max(spec.real))
-        checks["closed_loop_max_real_part"] = {
-            "value": max_re, "tol": 0.0, "ok": bool(max_re < 0),
-        }
-    return checks
+def _checks(*steps) -> dict:
+    """The identity checks the build steps measured and enforced."""
+    return {name: check_entry(value, tol)
+            for step in steps for name, (value, tol) in step.checks.items()}
 
 
 def _cmd_synthesize_observer(args) -> int:
@@ -136,8 +128,7 @@ def _cmd_synthesize_observer(args) -> int:
         "observer_spectrum": spectrum_to_json(obsv.spectrum),
         "dimensions": _dimensions(synth.dual, "p"),
     }
-    report["checks"] = _structural_checks(synth.dual.lti, synth.dual.sys.E,
-                                          synth.ricc, synth.ctrl, opts)
+    report["checks"] = _checks(synth.dual, synth.ricc, synth.ctrl)
     write_report(args.output, report)
     print(f"observer synthesized: sigma = {obsv.sigma:.6e} -> {args.output}")
     return EXIT_OK
@@ -163,7 +154,7 @@ def _cmd_solve_lq(args) -> int:
         "closed_loop_spectrum": spectrum_to_json(ricc.closed_loop_spectrum),
         "dimensions": _dimensions(rec),
     }
-    report["checks"] = _structural_checks(rec.lti, prob.sys.E, ricc, ctrl, opts)
+    report["checks"] = _checks(rec, ricc, ctrl)
     write_report(args.output, report)
     print(f"controller synthesized -> {args.output}")
     return EXIT_OK
@@ -188,10 +179,7 @@ def _cmd_associated_lti(args) -> int:
         "X_basis": matrix_to_json(lti.X.basis),
         "dimensions": _dimensions(rec),
     }
-    report["checks"] = _lti_checks(lti, rec.sys.E)
-    report["checks"]["rank_ECs_equals_n_hat"] = {
-        "value": float(lti.n_hat), "tol": float(lti.n_hat), "ok": True,
-    }
+    report["checks"] = _checks(rec)
     write_report(args.output, report)
     print(f"associated linear system -> {args.output}")
     return EXIT_OK
@@ -207,13 +195,12 @@ def _cmd_simulate(args) -> int:
     bound = worst_case_bound(synth, prob.ell, t1) + 1e-6
     runs = []
     n_runs = args.runs if args.noisy else 1
+    draw = sample_admissible if args.noisy else clean_realization
+    rec = construct(noise_system(prob) if args.noisy else autonomous_system(prob))
     for i in range(n_runs):
         seed = opts.seed + i
-        if args.noisy:
-            realization = sample_admissible(prob, t1, seed, step=opts.step)
-        else:
-            realization = clean_realization(prob, t1, seed, step=opts.step)
-        result = run_estimation(prob, obsv, realization, t1)
+        realization = draw(prob, t1, seed, step=opts.step, record=rec)
+        result = run_estimation(prob, obsv, realization, t1, record=rec)
         grid = result.error.grid
         header = ["t"] + [f"y_{j + 1}" for j in range(prob.p)] + [
             "estimate", "true_value", "error"]
@@ -250,30 +237,30 @@ def _cmd_simulate(args) -> int:
 def _cmd_check_equivalence(args) -> int:
     loaded = load_problem(args.input)
     opts = _merge_options(loaded, args)
-    sys_ = _control_system(loaded)
     rng = np.random.default_rng(opts.seed)
-    base = construct(sys_, rank_tol=opts.rank_tol)
+    base = construct(_control_system(loaded), rank_tol=opts.rank_tol)
     worst: dict[str, float] = {}
-    worst_verify = 0.0
+    max_defect = worst_verify = 0.0
     for _ in range(opts.trials):
-        rec2 = randomized_construction(sys_, rng, rank_tol=opts.rank_tol)
+        rec2 = randomized_construction(base, rng, rank_tol=opts.rank_tol)
         eq = build_equivalence(base, rec2, rank_tol=opts.rank_tol)
         for name, value in eq.defects.items():
             worst[name] = max(worst.get(name, 0.0), value)
-        rep = verify_equivalence(base.lti, rec2.lti, eq)
-        worst_verify = max(worst_verify, rep.max_residual)
+        max_defect = max(max_defect, eq.max_defect)
+        worst_verify = max(worst_verify,
+                           verify_equivalence(base.lti, rec2.lti, eq).max_residual)
+    checks = {
+        "equivalence_defects": check_entry(max_defect, STRUCTURAL_TOL),
+        "transformed_quadruple": check_entry(worst_verify, STRUCTURAL_TOL),
+    }
     report = report_envelope("check-equivalence", loaded, opts)
-    max_defect = max(worst.values()) if worst else 0.0
     report["result"] = {
         "trials": opts.trials,
         "max_defects": {k: worst[k] for k in sorted(worst)},
         "max_transformed_residual": worst_verify,
-        "ok": bool(max_defect <= 1e-8 and worst_verify <= 1e-8),
+        "ok": all(c["ok"] for c in checks.values()),
     }
-    report["checks"] = {
-        "equivalence_defects": check_entry(max_defect, 1e-8),
-        "transformed_quadruple": check_entry(worst_verify, 1e-8),
-    }
+    report["checks"] = checks
     write_report(args.output, report)
     print(f"{opts.trials} build pairs, max defect {max_defect:.3e} -> {args.output}")
     return EXIT_OK
@@ -290,12 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="problem file (JSON)")
         if output:
             p.add_argument("--output", "-o", required=True, help="report path")
-        p.add_argument("--rank-tol", dest="rank_tol", type=float, default=None)
-        p.add_argument("--are-tol", dest="are_tol", type=float, default=None)
-        p.add_argument("--step", type=float, default=None)
-        p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
+        for f in fields(SolverOptions):
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=type(f.default), default=None)
 
     p = sub.add_parser("synthesize-observer",
                        help="synthesize a minimax observer")

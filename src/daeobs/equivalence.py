@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dae import DaeSystem, canonical_form_from_transforms
-from .errors import InputError, InternalConsistencyError
+from .dae import canonical_form_from_transforms
+from .errors import InputError, InternalConsistencyError, require
 from .geometric import (
     OutputNullingData,
     input_kernel_matrix,
@@ -32,7 +32,7 @@ from .geometric import (
     friend,
 )
 from .linalg import DEFAULT_RANK_TOL, Subspace, pseudoinverse
-from .lti import AssociatedLti, ConstructionRecord, _lift, assemble, construct
+from .lti import AssociatedLti, ConstructionRecord, _lift, assemble
 
 STRUCTURAL_TOL = 1e-8
 
@@ -52,9 +52,6 @@ class FeedbackEquivalence:
     def max_defect(self) -> float:
         return max(self.defects.values()) if self.defects else 0.0
 
-    def ok(self, tol: float = STRUCTURAL_TOL) -> bool:
-        return self.max_defect <= tol
-
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -65,9 +62,6 @@ class EquivalenceReport:
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values()) if self.residuals else 0.0
-
-    def ok(self, tol: float = STRUCTURAL_TOL) -> bool:
-        return self.max_residual <= tol
 
 
 def _rel(value: float, scale: float) -> float:
@@ -99,21 +93,11 @@ def build_equivalence(rec1: ConstructionRecord, rec2: ConstructionRecord,
     H11, H12 = Hm[:r, :r], Hm[:r, r:]
     H21 = Hm[r:, :r]
     scale_R = 1.0 + float(np.linalg.norm(R))
-    if float(np.linalg.norm(R12)) > STRUCTURAL_TOL * scale_R:
-        raise InternalConsistencyError(
-            "structural zero violated: upper-right block of T2^{-1} T1 "
-            f"has norm {np.linalg.norm(R12):.3e}"
-        )
-    if float(np.linalg.norm(H21)) > STRUCTURAL_TOL * (1.0 + np.linalg.norm(Hm)):
-        raise InternalConsistencyError(
-            "structural zero violated: lower-left block of S2 S1^{-1} "
-            f"has norm {np.linalg.norm(H21):.3e}"
-        )
-    if float(np.linalg.norm(H11 - R11)) > STRUCTURAL_TOL * scale_R:
-        raise InternalConsistencyError(
-            "transition blocks disagree: H11 != R11 "
-            f"(defect {np.linalg.norm(H11 - R11):.3e})"
-        )
+    require("upper-right block of T2^{-1} T1 = 0", np.linalg.norm(R12),
+            STRUCTURAL_TOL * scale_R)
+    require("lower-left block of S2 S1^{-1} = 0", np.linalg.norm(H21),
+            STRUCTURAL_TOL * (1.0 + np.linalg.norm(Hm)))
+    require("H11 = R11", np.linalg.norm(H11 - R11), STRUCTURAL_TOL * scale_R)
 
     if rec1.V.dim != rec2.V.dim:
         raise InternalConsistencyError(
@@ -205,16 +189,16 @@ def _well_conditioned(rng: np.random.Generator, n: int,
             return M
 
 
-def randomized_construction(sys: DaeSystem, rng: np.random.Generator,
+def randomized_construction(base: ConstructionRecord, rng: np.random.Generator,
                             rank_tol: float = DEFAULT_RANK_TOL) -> ConstructionRecord:
-    """An alternative legal reduction of the same DAE.
+    """An alternative legal reduction of the DAE that ``base`` reduces.
 
     Randomizes every free choice of the construction: the normalizing pair
     (S, T) within the family preserving S E T = diag(I_r, 0), the
     subspace basis, the friend (shifted along the input-kernel directions
     and off the subspace) and the column basis of L.
     """
-    base = construct(sys, rank_tol)
+    sys = base.sys
     n, m, r = base.cf.n, base.cf.m, base.cf.r
 
     # S' = M S, T' = T N with M = [[M11, M12], [0, M22]],

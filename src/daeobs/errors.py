@@ -48,3 +48,19 @@ class InternalConsistencyError(DaeObsError):
     This signals a tolerance failure or a bug, never a user error.  The
     message names the violated identity.
     """
+
+
+# Relative tolerance of the identities that hold by construction; each
+# call site scales it by the size of the data the identity involves.
+IDENTITY_TOL = 1e-9
+
+
+def require(name: str, value: float, tol: float) -> tuple[float, float]:
+    """Raise :class:`InternalConsistencyError` naming the identity ``name``
+    unless its measured defect ``value`` is at most ``tol``; return the
+    measured pair ``(value, tol)`` for the build step's report."""
+    value, tol = float(value), float(tol)
+    if not value <= tol:
+        raise InternalConsistencyError(
+            f"identity '{name}' violated: defect {value:.3e} exceeds {tol:.3e}")
+    return value, tol

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dae import CanonicalForm
-from .errors import InternalConsistencyError
+from .errors import IDENTITY_TOL, InternalConsistencyError, require
 from .linalg import (
     DEFAULT_RANK_TOL,
     Subspace,
@@ -30,8 +30,6 @@ from .linalg import (
     numerical_rank,
     pseudoinverse,
 )
-
-FRIEND_DEFECT_TOL = 1e-9
 
 
 def _system_scale(cf: CanonicalForm) -> float:
@@ -102,13 +100,9 @@ def friend(cf: CanonicalForm, V: Subspace,
     lhs = np.vstack([Pp @ cf.G, cf.D_tilde])
     rhs = -np.vstack([Pp @ cf.A_tilde @ W, cf.C_tilde @ W])
     U = pseudoinverse(lhs, rank_tol, scale=_system_scale(cf)) @ rhs
-    resid = float(np.linalg.norm(lhs @ U - rhs))
     scale = 1.0 + float(np.linalg.norm(cf.A_tilde)) + float(np.linalg.norm(cf.G))
-    if resid > FRIEND_DEFECT_TOL * scale:
-        raise InternalConsistencyError(
-            f"friend construction infeasible: residual {resid:.3e} "
-            "(output-nulling subspace and feedback solve disagree)"
-        )
+    require("friend feasibility", np.linalg.norm(lhs @ U - rhs),
+            IDENTITY_TOL * scale)
     return U @ W.T
 
 
@@ -158,10 +152,6 @@ def output_nulling(cf: CanonicalForm,
     data = OutputNullingData(V=V, F_tilde=F_tilde, L=L)
     scale = 1.0 + float(np.linalg.norm(cf.A_tilde)) + float(np.linalg.norm(cf.G))
     for name, value in data.defects(cf).items():
-        if value > FRIEND_DEFECT_TOL * scale:
-            raise InternalConsistencyError(
-                f"output-nulling identity '{name}' violated: defect {value:.3e}"
-            )
-    if numerical_rank(L, rank_tol) != data.k:
-        raise InternalConsistencyError("L lost full column rank")
+        require(f"output-nulling {name}", value, IDENTITY_TOL * scale)
+    require("rank(L) = k", data.k - numerical_rank(L, rank_tol), 0)
     return data

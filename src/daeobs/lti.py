@@ -12,7 +12,8 @@ C_inp v + D_inp g), are exactly the DAE's trajectory pairs:
   with Lambda (E x(t)) = v(t) along every trajectory.
 
 Structural identities enforced on every build: E D_s = 0,
-rank(E C_s) = n_hat, Lambda (E C_s) = I, rank(D_l) = k.
+rank(E C_s) = n_hat, Lambda (E C_s) = I, rank(D_l) = k.  The measured
+defects of the first three are kept in ``ConstructionRecord.checks``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dae import CanonicalForm, DaeSystem, canonical_form
-from .errors import ConsistencyError, InputError, InternalConsistencyError
+from .errors import IDENTITY_TOL, ConsistencyError, InputError, require
 from .geometric import OutputNullingData, output_nulling
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -34,8 +35,6 @@ from .linalg import (
     pseudoinverse,
 )
 from .signals import SampledSignal, integrate_lti
-
-BUILD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,24 +75,19 @@ class ConstructionRecord:
 
     Keeps the canonical form, subspace basis, friend and L alongside the
     final linear system so that two independent builds of the same DAE can
-    be compared (they are always feedback equivalent).
+    be compared (they are always feedback equivalent).  ``checks`` maps
+    each reported identity to its measured (defect, tolerance) pair.
     """
 
     sys: DaeSystem
     cf: CanonicalForm
     ond: OutputNullingData
     lti: AssociatedLti
+    checks: dict[str, tuple[float, float]]
 
     @property
     def V(self) -> Subspace:
         return self.ond.V
-
-
-def _check(name: str, defect: float, scale: float, tol: float = BUILD_TOL):
-    if defect > tol * (1.0 + scale):
-        raise InternalConsistencyError(
-            f"associated-system identity '{name}' violated: defect {defect:.3e}"
-        )
 
 
 def _lift(cf: CanonicalForm, top: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -119,12 +113,12 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData,
     k = ond.k
 
     Acl = cf.A_tilde + cf.G @ F_tilde
-    scale = 1.0 + float(np.linalg.norm(Acl))
-    _check("(A + G F) V within V",
-           float(np.linalg.norm(ond.V.perp_projector() @ Acl @ W)), scale)
     GL = cf.G @ L
-    _check("G L within V", float(np.linalg.norm(ond.V.perp_projector() @ GL)),
-           1.0 + float(np.linalg.norm(GL)))
+    Pp = ond.V.perp_projector()
+    require("(A + G F) V within V", np.linalg.norm(Pp @ Acl @ W),
+            IDENTITY_TOL * (2.0 + float(np.linalg.norm(Acl))))
+    require("G L within V", np.linalg.norm(Pp @ GL),
+            IDENTITY_TOL * (2.0 + float(np.linalg.norm(GL))))
 
     A_l = W.T @ Acl @ W
     B_l = W.T @ GL
@@ -137,17 +131,17 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData,
 
     E = sys.E
     ECs = E @ C_s
-    _check("E D_s = 0", float(np.linalg.norm(E @ D_s)),
-           float(np.linalg.norm(E)))
-    if numerical_rank(ECs, rank_tol) != n_hat:
-        raise InternalConsistencyError(
-            f"rank(E C_s) = {numerical_rank(ECs, rank_tol)} != n_hat = {n_hat}"
-        )
-    if numerical_rank(D_l, rank_tol) != k:
-        raise InternalConsistencyError("rank(D_l) != k")
     Lambda = pseudoinverse(ECs, rank_tol)
-    _check("Lambda (E C_s) = I",
-           float(np.linalg.norm(Lambda @ ECs - np.eye(n_hat))), 1.0)
+    checks = {
+        "E_Ds": require("E D_s = 0", np.linalg.norm(E @ D_s),
+                        IDENTITY_TOL * (1.0 + float(np.linalg.norm(E)))),
+        "rank_ECs_equals_n_hat": require(
+            "rank(E C_s) = n_hat", n_hat - numerical_rank(ECs, rank_tol), 0),
+        "Lambda_ECs_minus_I": require(
+            "Lambda (E C_s) = I", np.linalg.norm(Lambda @ ECs - np.eye(n_hat)),
+            IDENTITY_TOL * 2.0),
+    }
+    require("rank(D_l) = k", k - numerical_rank(D_l, rank_tol), 0)
     X = image_basis(ECs, rank_tol)
 
     lti = AssociatedLti(
@@ -155,7 +149,7 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData,
         C_s=C_s, C_inp=C_inp, D_s=D_s, D_inp=D_inp,
         X=X, Lambda=Lambda,
     )
-    return ConstructionRecord(sys=sys, cf=cf, ond=ond, lti=lti)
+    return ConstructionRecord(sys=sys, cf=cf, ond=ond, lti=lti, checks=checks)
 
 
 def construct(sys: DaeSystem,

@@ -26,15 +26,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .dae import DaeSystem, ObservedDae
 from .errors import InputError, ProblemFileError
+from .linalg import DEFAULT_RANK_TOL
 from .observer import EstimationProblem
-from .riccati import LqWeights
+from .riccati import DEFAULT_ARE_TOL, LqWeights
+from .simulate import DEFAULT_STEP
 
 ESTIMATION_MATRICES = ("F", "A", "H", "Q", "R", "Q0", "ell")
 CONTROL_MATRICES = ("E", "A_hat", "B_hat", "Q", "R", "Q0")
@@ -44,9 +46,9 @@ CONTROL_MATRICES = ("E", "A_hat", "B_hat", "Q", "R", "Q0")
 class SolverOptions:
     """Tolerances and run parameters, overridable from the command line."""
 
-    rank_tol: float = 1e-10
-    are_tol: float = 1e-8
-    step: float = 1e-3
+    rank_tol: float = DEFAULT_RANK_TOL
+    are_tol: float = DEFAULT_ARE_TOL
+    step: float = DEFAULT_STEP
     horizon: float = 20.0
     seed: int = 0
     trials: int = 20
@@ -124,13 +126,12 @@ def _options_from_json(obj) -> SolverOptions:
     if not isinstance(obj, dict):
         raise ProblemFileError("'options' must be an object")
     opts = SolverOptions()
-    known = {f for f in SolverOptions.__dataclass_fields__}
-    unknown = set(obj) - known
+    unknown = set(obj) - set(asdict(opts))
     if unknown:
         raise ProblemFileError(f"unknown options: {sorted(unknown)}")
     fields = {}
     for key, value in obj.items():
-        if key in ("seed", "trials"):
+        if isinstance(getattr(opts, key), int):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ProblemFileError(f"option '{key}' must be an integer")
             fields[key] = value
@@ -210,14 +211,7 @@ def report_envelope(command: str, loaded: LoadedProblem,
         "tool": {"name": "daeobs", "version": __version__},
         "command": command,
         "input": {"path": loaded.path, "sha256": loaded.digest},
-        "options": {
-            "rank_tol": options.rank_tol,
-            "are_tol": options.are_tol,
-            "step": options.step,
-            "horizon": options.horizon,
-            "seed": options.seed,
-            "trials": options.trials,
-        },
+        "options": asdict(options),
     }
 
 

@@ -34,10 +34,12 @@ import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
 
 from .errors import (
+    IDENTITY_TOL,
     InputError,
     InternalConsistencyError,
     NotPositiveDefiniteError,
     NotStabilizableError,
+    require,
 )
 from .linalg import (
     _rank,
@@ -53,6 +55,7 @@ from .signals import SampledSignal, quadratic_form_series, simpson
 
 DEFAULT_ARE_TOL = 1e-8
 PBH_EIG_MARGIN = 1e-9
+MAX_REFINE = 25
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,13 @@ class LqWeights:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
+    """Stabilizing solution (P, K) and the (value, tol) pairs it measured."""
+
     P: np.ndarray
     K: np.ndarray
     residual: float
     closed_loop_spectrum: np.ndarray
+    checks: dict[str, tuple[float, float]]
 
     @property
     def n_hat(self) -> int:
@@ -104,6 +110,7 @@ class DynamicController:
     B_c: np.ndarray
     C_x: np.ndarray
     C_u: np.ndarray
+    checks: dict[str, tuple[float, float]]
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -132,8 +139,7 @@ def is_stabilizable(A_l, B_l, rank_tol: float = 1e-9) -> bool:
 
 
 def solve_are_blocks(A_l, B_l, C_l, D_l, S,
-                     are_tol: float = DEFAULT_ARE_TOL,
-                     max_refine: int = 25) -> RiccatiSolution:
+                     are_tol: float = DEFAULT_ARE_TOL) -> RiccatiSolution:
     """Core Riccati solve on raw system blocks.
 
     Accepts any symmetric S with D_l^T S D_l positive definite; the public
@@ -142,7 +148,8 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
     that fails it raises :class:`NotStabilizableError`.  The returned P is the
     stabilizing positive-semidefinite solution (positive definite whenever
     the running cost is observable, which holds for every system built
-    from weights Q > 0).
+    from weights Q > 0).  The residual, closed-loop stability and P >= 0
+    are enforced on every path, including the k = 0 Lyapunov solve.
     """
     A = as_matrix(A_l, "A_l")
     B = as_matrix(B_l, "B_l")
@@ -155,65 +162,65 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
     k = B.shape[1]
     if n == 0:
         return RiccatiSolution(np.zeros((0, 0)), np.zeros((k, 0)), 0.0,
-                               np.zeros(0, complex))
+                               np.zeros(0, complex), {"are_residual": (0.0, are_tol)})
 
     CSC = symmetrize(C.T @ S @ C)
     if k == 0:
-        spectrum = np.linalg.eigvals(A)
         P = symmetrize(solve_continuous_lyapunov(A.T, -CSC))
-        resid = float(np.linalg.norm(P @ A + A.T @ P + CSC))
-        return RiccatiSolution(P, np.zeros((0, n)), resid, spectrum)
-
-    W = symmetrize(D.T @ S @ D)
-    try:
-        W_isqrt = inv_sqrt_spd(W, "input-weight block D_l' S D_l")
-    except NotPositiveDefiniteError as exc:
-        raise InternalConsistencyError(str(exc)) from exc
-    Winv = W_isqrt @ W_isqrt
-    F_hat = -Winv @ (D.T @ S @ C)
-    A_bar = A + B @ F_hat
-    G = symmetrize(B @ Winv @ B.T)
-    Cq = C + D @ F_hat
-    Q_bar = symmetrize(Cq.T @ S @ Cq)
-
-    H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = A_bar
-    H[:n, n:] = -G
-    H[n:, :n] = -Q_bar
-    H[n:, n:] = -A_bar.T
-    _, Z, sdim = schur(H, output="real", sort="lhp")
-    if sdim != n:
-        raise InternalConsistencyError(
-            f"Hamiltonian stable invariant subspace has dimension {sdim}, "
-            f"expected {n} (eigenvalues too close to the imaginary axis)"
-        )
-    U11 = Z[:n, :n]
-    U21 = Z[n:, :n]
-    P = symmetrize(np.linalg.solve(U11.T, U21.T).T)
-
-    residual = np.inf
-    K = np.zeros((k, n))
-    for _ in range(max_refine):
-        K = Winv @ (B.T @ P + D.T @ S @ C)
-        res_mat = P @ A + A.T @ P - K.T @ W @ K + CSC
-        residual = float(np.linalg.norm(res_mat))
-        if residual <= are_tol * (1.0 + float(np.linalg.norm(P))):
-            break
-        A_cl = A - B @ K
-        P = symmetrize(solve_continuous_lyapunov(A_cl.T, -(Q_bar + P @ G @ P)))
+        K = np.zeros((0, n))
+        residual = float(np.linalg.norm(P @ A + A.T @ P + CSC))
     else:
-        raise InternalConsistencyError(
-            f"Riccati refinement stalled at residual {residual:.3e}"
-        )
+        W = symmetrize(D.T @ S @ D)
+        try:
+            W_isqrt = inv_sqrt_spd(W, "input-weight block D_l' S D_l")
+        except NotPositiveDefiniteError as exc:
+            raise InternalConsistencyError(str(exc)) from exc
+        Winv = W_isqrt @ W_isqrt
+        F_hat = -Winv @ (D.T @ S @ C)
+        A_bar = A + B @ F_hat
+        G = symmetrize(B @ Winv @ B.T)
+        Cq = C + D @ F_hat
+        Q_bar = symmetrize(Cq.T @ S @ Cq)
 
+        H = np.zeros((2 * n, 2 * n))
+        H[:n, :n] = A_bar
+        H[:n, n:] = -G
+        H[n:, :n] = -Q_bar
+        H[n:, n:] = -A_bar.T
+        _, Z, sdim = schur(H, output="real", sort="lhp")
+        if sdim != n:
+            raise InternalConsistencyError(
+                f"Hamiltonian stable invariant subspace has dimension {sdim}, "
+                f"expected {n} (eigenvalues too close to the imaginary axis)"
+            )
+        U11 = Z[:n, :n]
+        U21 = Z[n:, :n]
+        P = symmetrize(np.linalg.solve(U11.T, U21.T).T)
+
+        for _ in range(MAX_REFINE):
+            K = Winv @ (B.T @ P + D.T @ S @ C)
+            res_mat = P @ A + A.T @ P - K.T @ W @ K + CSC
+            residual = float(np.linalg.norm(res_mat))
+            if residual <= are_tol * (1.0 + float(np.linalg.norm(P))):
+                break
+            A_cl = A - B @ K
+            P = symmetrize(solve_continuous_lyapunov(A_cl.T, -(Q_bar + P @ G @ P)))
+        else:
+            raise InternalConsistencyError(
+                f"Riccati refinement stalled at residual {residual:.3e}"
+            )
+
+    P_tol = are_tol * (1.0 + float(np.linalg.norm(P)))
+    checks = {"are_residual": require("Riccati residual", residual, P_tol)}
     spectrum = np.linalg.eigvals(A - B @ K)
-    if np.max(spectrum.real) >= 0:
+    max_re = float(np.max(spectrum.real))
+    if max_re >= 0:
         raise InternalConsistencyError(
             "closed loop A_l - B_l K is not stable after the Riccati solve"
         )
-    if np.linalg.eigvalsh(P)[0] < -are_tol * (1.0 + float(np.linalg.norm(P))):
-        raise InternalConsistencyError("Riccati solution is not positive semidefinite")
-    return RiccatiSolution(P, K, residual, spectrum)
+    checks["closed_loop_max_real_part"] = (max_re, 0.0)
+    require("P >= 0", -np.linalg.eigvalsh(P)[0], P_tol)
+    return RiccatiSolution(P, K, residual, spectrum, checks)
 
 
 def solve_are(lti: AssociatedLti, w: LqWeights,
@@ -224,25 +231,24 @@ def solve_are(lti: AssociatedLti, w: LqWeights,
     return solve_are_blocks(lti.A_l, lti.B_l, lti.C_l, lti.D_l, w.S(), are_tol)
 
 
-def assemble_controller(lti: AssociatedLti, rs: RiccatiSolution, E,
-                        check_tol: float = 1e-9) -> DynamicController:
+def assemble_controller(lti: AssociatedLti, rs: RiccatiSolution,
+                        E) -> DynamicController:
     """Optimal dynamic controller (A_c, B_c, C_x, C_u) from a Riccati
     solution; verifies the defining identity B_c E C_x = I."""
     E = as_matrix(E, "E")
     if rs.K.shape != (lti.k, lti.n_hat):
         raise InputError("Riccati solution does not match the system")
-    ctrl = DynamicController(
+    C_x = lti.C_s - lti.D_s @ rs.K
+    defect = require("B_c E C_x = I",
+                     np.linalg.norm(lti.Lambda @ E @ C_x - np.eye(lti.n_hat)),
+                     IDENTITY_TOL * (1.0 + float(np.linalg.norm(E))))
+    return DynamicController(
         A_c=lti.A_l - lti.B_l @ rs.K,
         B_c=lti.Lambda.copy(),
-        C_x=lti.C_s - lti.D_s @ rs.K,
+        C_x=C_x,
         C_u=lti.C_inp - lti.D_inp @ rs.K,
+        checks={"Bc_E_Cx_minus_I": defect},
     )
-    defect = float(np.linalg.norm(ctrl.B_c @ E @ ctrl.C_x - np.eye(lti.n_hat)))
-    if defect > check_tol * (1.0 + float(np.linalg.norm(E))):
-        raise InternalConsistencyError(
-            f"controller identity B_c E C_x = I violated: defect {defect:.3e}"
-        )
-    return ctrl
 
 
 def optimal_cost(rs: RiccatiSolution, v0) -> float:

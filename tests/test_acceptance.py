@@ -234,7 +234,7 @@ def test_criterion_8_appendix_equivalence():
         else:
             v_base = 0.0
         for _ in range(20):
-            rec2 = randomized_construction(sys, rng)
+            rec2 = randomized_construction(construct(sys), rng)
             eq = build_equivalence(base, rec2)
             worst_defect = max(worst_defect, eq.max_defect)
             rep = verify_equivalence(base.lti, rec2.lti, eq)
@@ -251,7 +251,7 @@ def test_criterion_8_appendix_equivalence():
         sigma_base = synth.worst_case_error(prob.ell)
         adj = dual_dae(prob.obs)
         for _ in range(5):
-            rec2 = randomized_construction(adj, rng)
+            rec2 = randomized_construction(construct(adj), rng)
             synth2 = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R,
                                           dual_record=rec2)
             worst_value_dev = max(

@@ -2,12 +2,26 @@ import json
 
 import numpy as np
 
+from daeobs import lti
 from daeobs.cli import main
 from daeobs.fixtures import data_path
 
 
 def run_cli(argv):
     return main([str(a) for a in argv])
+
+
+def count_reductions(monkeypatch) -> list:
+    """Record every canonical form that ``lti.construct`` computes."""
+    calls = []
+    original = lti.canonical_form
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lti, "canonical_form", counted)
+    return calls
 
 
 class TestSynthesizeObserver:
@@ -95,6 +109,29 @@ class TestSolveLq:
         path.write_text(json.dumps(doc))
         assert run_cli(["solve-lq", path, "--output", tmp_path / "r.json"]) == 2
 
+    def test_no_input_residual_is_enforced(self, tmp_path):
+        # k = 0: P comes from a Lyapunov solve, whose residual must pass
+        # are_tol like the Newton-polished one does.
+        doc = {
+            "problem": "control",
+            "matrices": {
+                "E": {"rows": 2, "cols": 2, "data": [1, 0, 0, 1]},
+                "A_hat": {"rows": 2, "cols": 2, "data": [-1, 0.5, 0, -2]},
+                "B_hat": {"rows": 2, "cols": 0, "data": []},
+                "Q": {"rows": 2, "cols": 2, "data": [1, 0, 0, 1]},
+                "R": {"rows": 0, "cols": 0, "data": []},
+                "Q0": {"rows": 2, "cols": 2, "data": [1, 0, 0, 1]},
+            },
+        }
+        path = tmp_path / "no_input.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert run_cli(["solve-lq", path, "--output", out]) == 0
+        out.unlink()
+        assert run_cli(["solve-lq", path, "--output", out,
+                        "--are-tol", "1e-300"]) == 12
+        assert not out.exists()
+
 
 class TestAssociatedLti:
     def test_identity_E(self, tmp_path):
@@ -117,6 +154,14 @@ class TestAssociatedLti:
                         "--output", out]) == 0
         rep = json.loads(out.read_text())
         assert rep["result"]["dimensions"]["r"] == 1
+
+    def test_rank_check_measures_the_rank(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(["associated-lti", data_path("est_rank1.json"),
+                        "--output", out]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["checks"]["rank_ECs_equals_n_hat"] == {
+            "value": 0.0, "tol": 0.0, "ok": True}
 
 
 class TestSimulate:
@@ -157,6 +202,13 @@ class TestSimulate:
         est_col = [float(r.split(",")[3]) for r in rows]
         assert max(abs(v) for v in est_col) == 0.0
 
+    def test_noise_reduction_built_once(self, tmp_path, monkeypatch):
+        calls = count_reductions(monkeypatch)
+        assert run_cli(["simulate", data_path("est_rank1.json"),
+                        "--output-dir", tmp_path / "sim", "--noisy",
+                        "--runs", "3", "--horizon", "2", "--step", "0.01"]) == 0
+        assert len(calls) == 2  # the adjoint and the noise system
+
     def test_zero_runs_exits_1(self, tmp_path, capsys):
         code = run_cli(["simulate", data_path("est_classical.json"),
                         "--output-dir", tmp_path / "sim", "--noisy",
@@ -186,6 +238,12 @@ class TestCheckEquivalence:
         rep = json.loads(out.read_text())
         assert rep["result"]["ok"]
         assert max(rep["result"]["max_defects"].values()) <= 1e-8
+
+    def test_base_reduction_built_once(self, tmp_path, monkeypatch):
+        calls = count_reductions(monkeypatch)
+        assert run_cli(["check-equivalence", data_path("ctrl_rank1.json"),
+                        "--output", tmp_path / "r.json", "--trials", "3"]) == 0
+        assert len(calls) == 1
 
 
 class TestDeterminism:

@@ -47,7 +47,7 @@ class TestBuildEquivalence:
         sys = DaeSystem(np.eye(3), rng.standard_normal((3, 3)),
                         rng.standard_normal((3, 2)))
         base = construct(sys)
-        other = randomized_construction(sys, rng)
+        other = randomized_construction(construct(sys), rng)
         eq = build_equivalence(base, other)
         assert eq.max_defect <= TOL, eq.defects
         rep = verify_equivalence(base.lti, other.lti, eq)
@@ -60,8 +60,8 @@ class TestBuildEquivalence:
         r = int(rng.integers(1, n))
         m = int(rng.integers(0, 3))
         sys = random_dae(rng, n, m, r)
-        rec1 = randomized_construction(sys, rng)
-        rec2 = randomized_construction(sys, rng)
+        rec1 = randomized_construction(construct(sys), rng)
+        rec2 = randomized_construction(construct(sys), rng)
         # same input-kernel rank on both sides
         assert rec1.ond.k == rec2.ond.k
         eq = build_equivalence(rec1, rec2)
@@ -73,7 +73,7 @@ class TestBuildEquivalence:
         sys = rank1_system()
         rng = np.random.default_rng(9)
         rec1 = construct(sys)
-        rec2 = randomized_construction(sys, rng)
+        rec2 = randomized_construction(construct(sys), rng)
         eq = build_equivalence(rec1, rec2)
         if eq.U.size == 0:
             pytest.skip("no input freedom to perturb")
@@ -91,7 +91,7 @@ class TestInvarianceOfSynthesis:
         adj = dual_dae(prob.obs)
         rng = np.random.default_rng(11)
         for _ in range(3):
-            rec2 = randomized_construction(adj, rng)
+            rec2 = randomized_construction(construct(adj), rng)
             synth2 = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R,
                                           dual_record=rec2)
             sigma2 = synth2.worst_case_error(prob.ell)
@@ -105,7 +105,7 @@ class TestInvarianceOfSynthesis:
         v0 = rec.lti.Lambda @ (sys.E @ x0)
         base_value = optimal_cost(rs, v0)
         for _ in range(3):
-            rec2 = randomized_construction(sys, rng)
+            rec2 = randomized_construction(construct(sys), rng)
             rs2 = solve_are(rec2.lti, w)
             v02 = rec2.lti.Lambda @ (sys.E @ x0)
             value2 = optimal_cost(rs2, v02)

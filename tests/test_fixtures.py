@@ -9,7 +9,12 @@ import math
 import pytest
 
 from daeobs.cli import main
+from daeobs.dae import dual_dae
 from daeobs.fixtures import data_path, fixture_suite
+from daeobs.lti import construct
+from daeobs.observer import synthesize_estimator
+from daeobs.problem_io import load_problem
+from daeobs.riccati import assemble_controller, solve_are
 
 FIXTURES = {fx.name: fx for fx in fixture_suite()}
 
@@ -63,3 +68,44 @@ def test_suite_covers_required_cases():
     names = {fx.name for fx in fixture_suite()}
     assert {"est_classical", "est_rank1", "est_undetectable",
             "ctrl_ode", "ctrl_algebraic", "equiv_rank1"} <= names
+
+
+def _library_checks(command, loaded) -> dict:
+    """The (value, tol) pairs the library's build steps keep for a command."""
+    prob = loaded.problem
+    if command == "synthesize-observer":
+        synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R)
+        steps = (synth.dual, synth.ricc, synth.ctrl)
+    elif command == "solve-lq":
+        rec = construct(prob.sys)
+        ricc = solve_are(rec.lti, prob.weights)
+        steps = (rec, ricc, assemble_controller(rec.lti, ricc, prob.sys.E))
+    else:
+        sys_ = prob.sys if loaded.kind == "control" else dual_dae(prob.obs)
+        steps = (construct(sys_),)
+    return {name: pair for step in steps for name, pair in step.checks.items()}
+
+
+BUILD_RUNS = sorted(
+    {(fx.command, fx.problem) for fx in FIXTURES.values()
+     if fx.golden is not None and fx.command != "check-equivalence"}
+    | {("associated-lti", fx.problem) for fx in FIXTURES.values()})
+
+
+@pytest.mark.parametrize("command,problem", BUILD_RUNS)
+def test_report_checks_are_the_library_checks(command, problem, tmp_path):
+    out = tmp_path / "report.json"
+    assert main([command, str(data_path(problem)), "--output", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert all(c["ok"] for c in checks.values())
+    want = _library_checks(command, load_problem(str(data_path(problem))))
+    assert set(checks) == set(want)
+    for name, (value, tol) in want.items():
+        assert (checks[name]["value"], checks[name]["tol"]) == (value, tol), name
+
+
+@pytest.mark.parametrize("name", sorted(
+    fx.name for fx in FIXTURES.values() if fx.golden is not None))
+def test_every_golden_check_is_ok(name):
+    golden = json.loads(data_path(f"golden/{FIXTURES[name].golden}").read_text())
+    assert golden["checks"] and all(c["ok"] for c in golden["checks"].values())

@@ -17,7 +17,9 @@ from daeobs import (
     synthesize_estimator,
     uniform_grid,
 )
+from daeobs.fixtures import data_path
 from daeobs.linalg import pseudoinverse
+from daeobs.problem_io import load_problem
 from daeobs.riccati import assemble_controller
 
 from .conftest import random_spd
@@ -165,6 +167,17 @@ class TestSynthesize:
         np.testing.assert_array_equal(o1.B_o, o2.B_o)
         assert not np.allclose(o1.C_o, o2.C_o)
         assert abs(o1.sigma - float((o1.C_o @ o1.P @ o1.C_o.T).item())) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [2.5e-10, 3e-10])
+    def test_singular_value_just_below_rank_cut(self, eps):
+        # F + eps I has a singular value the rank decision cuts; the cut
+        # block of S F' T is not a by-construction identity.
+        prob = load_problem(str(data_path("est_rank1.json"))).problem
+        obs = ObservedDae(prob.obs.F + eps * np.eye(prob.n), prob.obs.A,
+                          prob.obs.H)
+        synth = synthesize_estimator(obs, prob.Q0, prob.Q, prob.R)
+        assert synth.for_ell(prob.ell).sigma == pytest.approx(0.6124860803,
+                                                              abs=1e-9)
 
     def test_rank_deficient_F_full_pipeline(self):
         # F rank 1 with estimable first coordinate
