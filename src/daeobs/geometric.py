@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dae import CanonicalForm
-from .errors import IDENTITY_TOL, InternalConsistencyError, require
+from .errors import IDENTITY_TOL, require
 from .linalg import (
     DEFAULT_RANK_TOL,
     Subspace,
-    image_basis,
+    _rank,
+    _svd,
     kernel_basis,
     numerical_rank,
     pseudoinverse,
@@ -44,16 +45,40 @@ def _system_scale(cf: CanonicalForm) -> float:
     )
 
 
-def _zeroing_step(cf: CanonicalForm, V: Subspace, rank_tol: float) -> Subspace:
-    """One step of the invariant-subspace iteration:
-    {x : exists q with A_tilde x + G q in V and C_tilde x + D_tilde q = 0}."""
+def _nested_step(cf: CanonicalForm, Q: np.ndarray, c: int,
+                 rank_tol: float) -> tuple[np.ndarray, int]:
+    """One output-nulling step, searched inside V_k = Im Q[:, :c].
+
+    With Q = [W, W_perp] orthogonal, V_{k+1} is W times the y-part of the
+    kernel of M = [[W_perp' A_tilde W, W_perp' G], [C_tilde W, D_tilde]].
+    The kernel cut keeps the shape and scale of the unrestricted stack
+    [(I - P_V)[A_tilde, G]; [C_tilde, D_tilde]]; the y-block's image cut is
+    floored at 1, the norm of the orthonormal kernel basis.  By the CS
+    decomposition of M's right singular factor, the y-block's singular
+    values under that cut are those of R_q under it, where [R_y, R_q]
+    spans M's row space, and R_y' a for their left singular vectors a
+    spans the lost directions.  Returns (Q', c') with V_{k+1} =
+    Im Q'[:, :c']; Q' = Q when no direction is lost.
+    """
     r = cf.r
-    Pp = V.perp_projector()
-    top = np.hstack([Pp @ cf.A_tilde, Pp @ cf.G])
-    bot = np.hstack([cf.C_tilde, cf.D_tilde])
-    scale = _system_scale(cf)
-    K = kernel_basis(np.vstack([top, bot]), rank_tol, scale=scale)
-    return image_basis(K.basis[:r, :], rank_tol)
+    W, W_perp = Q[:, :c], Q[:, c:]
+    G, D = cf.G, cf.D_tilde
+    p, q = D.shape
+    M = np.vstack([np.hstack([W_perp.T @ cf.A_tilde @ W, W_perp.T @ G]),
+                   np.hstack([cf.C_tilde @ W, D])])
+    if M.size:
+        _, s, Vt = np.linalg.svd(M, full_matrices=False)
+    else:
+        s, Vt = np.zeros(0), np.zeros((0, c + q))
+    k = _rank(s, (r + p, r + q), rank_tol, _system_scale(cf))
+    R_y, R_q = Vt[:k, :c], Vt[:k, c:]
+    U, s_q, _ = _svd(R_q)
+    kept = _rank(s_q, (r, c + q - k), rank_tol, 1.0)
+    c_next = max(0, c - k + kept)
+    if c_next in (0, c):
+        return Q, c_next
+    X = np.linalg.qr(R_y.T @ U[:, kept:], mode="complete")[0]
+    return np.hstack([W @ np.roll(X, c_next - c, axis=1), W_perp]), c_next
 
 
 def weakly_observable_subspace(cf: CanonicalForm,
@@ -61,22 +86,19 @@ def weakly_observable_subspace(cf: CanonicalForm,
     """Largest output-nulling subspace of the auxiliary linear system.
 
     Runs the classical decreasing iteration V_0 = R^r,
-    V_{k+1} = {x : exists q, A_tilde x + G q in V_k, C_tilde x + D_tilde q = 0}
-    until the dimension stabilizes, which happens within r steps.  The
-    result may be the zero subspace.
+    V_{k+1} = {x : exists q, A_tilde x + G q in V_k, C_tilde x + D_tilde q = 0},
+    each step searching V_{k+1} inside V_k (:func:`_nested_step`), so the
+    iterates are nested by construction and the dimension stops falling
+    within r steps.  The result may be the zero subspace; when no step
+    removes a direction it is R^r with the identity basis.
     """
-    V = Subspace.full(cf.r)
-    for _ in range(cf.r + 1):
-        Vn = _zeroing_step(cf, V, rank_tol)
-        if Vn.dim == V.dim:
-            # fixed point: V_{k+1} is contained in V_k, so equal dimension
-            # means equal subspace; keep the earlier basis (identity for
-            # the full-space case).
-            return V
-        V = Vn
-    raise InternalConsistencyError(
-        "output-nulling iteration failed to stabilize within r steps"
-    )
+    Q, c = np.eye(cf.r), cf.r
+    while c:
+        Q, c_next = _nested_step(cf, Q, c, rank_tol)
+        if c_next == c:
+            break
+        c = c_next
+    return Subspace(Q[:, :c].copy())
 
 
 def friend(cf: CanonicalForm, V: Subspace,

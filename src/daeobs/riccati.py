@@ -13,9 +13,11 @@ F_hat = -(D^T S D)^{-1} D^T S C and input scaling (D^T S D)^{-1/2}, solves
 it by an ordered Schur decomposition of the Hamiltonian, and polishes the
 result with Newton-Kleinman steps until the residual passes tolerance.
 Stabilizability of (A_l, B_l) is the only existence condition; the solve
-checks it itself (PBH test) before anything else, so every caller gets the
-same decision.  The terminal weight Q0 does not enter the equation because
-the optimal closed loop drives the state to zero.
+checks it itself before anything else (an ordered real Schur form splits
+off the safely stable modes, a controllability staircase tests the rest),
+so every caller gets the same decision.  The terminal weight Q0 does not
+enter the equation because the optimal closed loop drives the state to
+zero.
 
 The optimal trajectories of the original DAE are then produced by the
 dynamic controller (A_c, B_c, C_x, C_u):
@@ -43,6 +45,7 @@ from .errors import (
 )
 from .linalg import (
     _rank,
+    _svd,
     as_matrix,
     as_vector,
     inv_sqrt_spd,
@@ -118,23 +121,36 @@ class DynamicController:
 
 
 def is_stabilizable(A_l, B_l, rank_tol: float = 1e-9) -> bool:
-    """Popov-Belevitch-Hautus test: every eigenvalue with nonnegative real
-    part must keep [A - lambda I, B] at full row rank."""
+    """Whether every mode of A_l that is not safely stable is controllable.
+
+    One ordered real Schur form A_l = Z T Z' puts first the modes with
+    Re lambda < -PBH_EIG_MARGIN * max(1, |lambda|), a margin per eigenvalue.
+    The left eigenvectors of the other modes are [0, w2] in these
+    coordinates, so the pair is stabilizable exactly when the trailing
+    (T22, Z2' B_l) is controllable.  Paige's staircase decides that: it
+    compresses B by an orthogonal change of basis and passes the part of
+    T22 that B does not reach on as the next pair, until a step reaches
+    nothing (not stabilizable) or nothing is left.  Every cut is scaled by
+    ||T22||, ||Z2' B_l|| and the shape of [T22, Z2' B_l].
+    """
     A = as_matrix(A_l, "A_l")
     B = as_matrix(B_l, "B_l")
     n = A.shape[0]
     if A.shape != (n, n) or B.shape[0] != n:
         raise InputError("A_l must be square and B_l must match its rows")
-    if n == 0:
-        return True
-    eigs = np.linalg.eigvals(A)
-    scale = max(1.0, float(np.linalg.norm(A)))
-    for lam in eigs:
-        if lam.real < -PBH_EIG_MARGIN * scale:
-            continue
-        M = np.hstack([A - lam * np.eye(n), B]).astype(complex)
-        if _rank(np.linalg.svd(M, compute_uv=False), M.shape, rank_tol) < n:
+    T, Z, n_stable = schur(
+        A, output="real",
+        sort=lambda re, im: re < -PBH_EIG_MARGIN * max(1.0, float(np.hypot(re, im))))
+    A, B = T[n_stable:, n_stable:], Z[:, n_stable:].T @ B
+    shape = (A.shape[0], A.shape[0] + B.shape[1])
+    scale = max(float(np.linalg.norm(A)), float(np.linalg.norm(B)))
+    while A.shape[0]:
+        U, s, _ = _svd(B)
+        k = _rank(s, shape, rank_tol, scale)
+        if k == 0:
             return False
+        A = U.T @ A @ U
+        A, B = A[k:, k:], A[k:, :k]
     return True
 
 

@@ -35,6 +35,53 @@ def rk4_loop(A, B, x0, h: float, U) -> np.ndarray:
     return out
 
 
+def vstar_loop(cf, rank_tol: float = 1e-10):
+    """Reference output-nulling iteration, each step from scratch in R^r:
+    V_{k+1} is the x-block image of the kernel of
+    [(I - P_V)[A_tilde, G]; [C_tilde, D_tilde]], until the dimension
+    repeats.  Nothing forces V_{k+1} into V_k here, so roundoff can keep
+    the dimension from settling; that raises ``RuntimeError``.
+    """
+    from daeobs.geometric import _system_scale
+    from daeobs.linalg import Subspace, image_basis, kernel_basis
+
+    r = cf.r
+    V = Subspace.full(r)
+    for _ in range(r + 1):
+        Pp = V.perp_projector()
+        M = np.vstack([np.hstack([Pp @ cf.A_tilde, Pp @ cf.G]),
+                       np.hstack([cf.C_tilde, cf.D_tilde])])
+        K = kernel_basis(M, rank_tol, scale=_system_scale(cf))
+        Vn = image_basis(K.basis[:r, :], rank_tol)
+        if Vn.dim == V.dim:
+            return V
+        V = Vn
+    raise RuntimeError("output-nulling iteration failed to stabilize within r steps")
+
+
+def pbh_stabilizable(A, B, rank_tol: float = 1e-9, margin: float = 1e-9) -> bool:
+    """Reference Popov-Belevitch-Hautus test, one complex SVD per
+    eigenvalue: every eigenvalue with Re lambda >= -margin * max(1, ||A||)
+    must keep [A - lambda I, B] at full row rank.  The rank cut is floored
+    by max(||A||, ||B||), so a block that vanishes up to roundoff (an
+    uncontrollable mode with no inputs, seen through a rotation) counts
+    as rank deficient."""
+    from daeobs.linalg import _rank
+
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    n = A.shape[0]
+    margin_scale = max(1.0, float(np.linalg.norm(A))) if n else 1.0
+    cut_scale = max(float(np.linalg.norm(A)), float(np.linalg.norm(B)))
+    for lam in np.linalg.eigvals(A):
+        if lam.real < -margin * margin_scale:
+            continue
+        M = np.hstack([A - lam * np.eye(n), B]).astype(complex)
+        s = np.linalg.svd(M, compute_uv=False)
+        if _rank(s, M.shape, rank_tol, cut_scale) < n:
+            return False
+    return True
+
+
 def penrose_defects(M: np.ndarray, Mp: np.ndarray) -> dict[str, float]:
     """Residuals of the four Moore-Penrose identities."""
     return {

@@ -6,10 +6,12 @@ behavior changed without rerunning the oracle pipeline."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from daeobs.cli import main
-from daeobs.dae import dual_dae
+from daeobs.dae import DaeSystem, ObservedDae, dual_dae
+from daeobs.errors import InternalConsistencyError, NotStabilizableError
 from daeobs.fixtures import data_path, fixture_suite
 from daeobs.lti import construct
 from daeobs.observer import synthesize_estimator
@@ -109,3 +111,50 @@ def test_report_checks_are_the_library_checks(command, problem, tmp_path):
 def test_every_golden_check_is_ok(name):
     golden = json.loads(data_path(f"golden/{FIXTURES[name].golden}").read_text())
     assert golden["checks"] and all(c["ok"] for c in golden["checks"].values())
+
+
+# Shifts of the descriptor matrix (F or E) by eps * I that move one of its
+# zero singular values across the rank cut 1e-10 * sigma_max * n.
+EPS_SWEEP = (1e-10, 2e-10, 3.5e-10, 5e-10, 1e-9, 3e-9, 5e-9, 1e-8)
+# est_rank1's shifted adjoint is Hurwitz with modes {-0.75, -1e9, -2e9} and
+# ||B_l|| = 1e9; at these shifts the unscaled Hamiltonian Schur solve
+# (wrong stable dimension, or a stalled Newton polish) fails it.
+EST_RANK1_INTERNAL = (3.5e-10, 5e-10, 1e-9, 3e-9)
+
+
+def _shifted(loaded, eps):
+    """(A_l, outcome) of the problem with its descriptor matrix shifted
+    by eps * I; the outcome is sigma (estimation) or the Riccati solution."""
+    prob = loaded.problem
+    if loaded.kind == "estimation":
+        obs = ObservedDae(prob.obs.F + eps * np.eye(prob.obs.n), prob.obs.A,
+                          prob.obs.H)
+        A_l = construct(dual_dae(obs)).lti.A_l
+        return A_l, lambda: synthesize_estimator(
+            obs, prob.Q0, prob.Q, prob.R).for_ell(prob.ell).sigma
+    lti = construct(DaeSystem(prob.sys.E + eps * np.eye(prob.sys.n),
+                              prob.sys.A_hat, prob.sys.B_hat)).lti
+    return lti.A_l, lambda: solve_are(lti, prob.weights)
+
+
+@pytest.mark.parametrize("eps", EPS_SWEEP)
+@pytest.mark.parametrize("problem", sorted({fx.problem for fx in FIXTURES.values()}))
+def test_descriptor_shift_keeps_the_outcome_class(problem, eps):
+    """Never "not stabilizable" for a Hurwitz A_l; an estimation success
+    keeps the unshifted sigma; the only internal failures are the pinned
+    est_rank1 Hamiltonian ones."""
+    loaded = load_problem(str(data_path(problem)))
+    A_l, run = _shifted(loaded, eps)
+    hurwitz = A_l.size == 0 or float(np.max(np.linalg.eigvals(A_l).real)) < 0
+    internal = problem == "est_rank1.json" and eps in EST_RANK1_INTERNAL
+    try:
+        result = run()
+    except NotStabilizableError:
+        assert not hurwitz, f"{problem}, eps = {eps}: Hurwitz A_l called unstabilizable"
+        return
+    except InternalConsistencyError:
+        assert internal, f"{problem}, eps = {eps}"
+        return
+    assert not internal, f"{problem}, eps = {eps}: the Hamiltonian failure is gone"
+    if loaded.kind == "estimation":
+        assert result == pytest.approx(_shifted(loaded, 0.0)[1](), rel=1e-6)
