@@ -49,36 +49,35 @@ def _nested_step(cf: CanonicalForm, Q: np.ndarray, c: int,
                  rank_tol: float) -> tuple[np.ndarray, int]:
     """One output-nulling step, searched inside V_k = Im Q[:, :c].
 
-    With Q = [W, W_perp] orthogonal, V_{k+1} is W times the y-part of the
-    kernel of M = [[W_perp' A_tilde W, W_perp' G], [C_tilde W, D_tilde]].
+    With Q = [W, W_perp] orthogonal, V_{k+1} is W times the image of the
+    y-block N_y of the kernel of
+    M = [[W_perp' A_tilde W, W_perp' G], [C_tilde W, D_tilde]].
     The kernel cut keeps the shape and scale of the unrestricted stack
-    [(I - P_V)[A_tilde, G]; [C_tilde, D_tilde]]; the y-block's image cut is
-    floored at 1, the norm of the orthonormal kernel basis.  By the CS
-    decomposition of M's right singular factor, the y-block's singular
-    values under that cut are those of R_q under it, where [R_y, R_q]
-    spans M's row space, and R_y' a for their left singular vectors a
-    spans the lost directions.  Returns (Q', c') with V_{k+1} =
-    Im Q'[:, :c']; Q' = Q when no direction is lost.
+    [(I - P_V)[A_tilde, G]; [C_tilde, D_tilde]]; the image cut of N_y is
+    floored at 1, the norm of the orthonormal kernel basis.  N_y is not
+    formed: if [R_y, R_q] is an orthonormal basis of M's row space, the CS
+    decomposition gives N_y and R_q the same singular values short of 1,
+    so the vectors R_y' a, for the left singular vectors a of R_q cut
+    under N_y's threshold, span exactly the lost directions.  That takes
+    an SVD of the k x q block R_q where image_basis(N_y') would take one
+    of a c x c block each step.  Returns (Q', c') with
+    V_{k+1} = Im Q'[:, :c']; Q' = Q when no direction is lost.
     """
     r = cf.r
     W, W_perp = Q[:, :c], Q[:, c:]
-    G, D = cf.G, cf.D_tilde
-    p, q = D.shape
-    M = np.vstack([np.hstack([W_perp.T @ cf.A_tilde @ W, W_perp.T @ G]),
-                   np.hstack([cf.C_tilde @ W, D])])
-    if M.size:
-        _, s, Vt = np.linalg.svd(M, full_matrices=False)
-    else:
-        s, Vt = np.zeros(0), np.zeros((0, c + q))
+    p, q = cf.D_tilde.shape
+    M = np.vstack([np.hstack([W_perp.T @ cf.A_tilde @ W, W_perp.T @ cf.G]),
+                   np.hstack([cf.C_tilde @ W, cf.D_tilde])])
+    _, s, Vt = _svd(M)
     k = _rank(s, (r + p, r + q), rank_tol, _system_scale(cf))
-    R_y, R_q = Vt[:k, :c], Vt[:k, c:]
-    U, s_q, _ = _svd(R_q)
-    kept = _rank(s_q, (r, c + q - k), rank_tol, 1.0)
-    c_next = max(0, c - k + kept)
+    U, s_q, _ = _svd(Vt[:k, c:])
+    kept = _rank(s_q, (c, c + q - k), rank_tol, 1.0)
+    c_next = c - k + kept
     if c_next in (0, c):
         return Q, c_next
-    X = np.linalg.qr(R_y.T @ U[:, kept:], mode="complete")[0]
-    return np.hstack([W @ np.roll(X, c_next - c, axis=1), W_perp]), c_next
+    X = np.linalg.qr(Vt[:k, :c].T @ U[:, kept:], mode="complete")[0]
+    lost = c - c_next
+    return np.hstack([W @ X[:, lost:], W @ X[:, :lost], W_perp]), c_next
 
 
 def weakly_observable_subspace(cf: CanonicalForm,

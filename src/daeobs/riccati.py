@@ -131,19 +131,27 @@ def is_stabilizable(A_l, B_l, rank_tol: float = 1e-9) -> bool:
     compresses B by an orthogonal change of basis and passes the part of
     T22 that B does not reach on as the next pair, until a step reaches
     nothing (not stabilizable) or nothing is left.  Every cut is scaled by
-    ||T22||, ||Z2' B_l|| and the shape of [T22, Z2' B_l].
+    the shape of [A_l, B_l] and floored by max(||A_l||, ||B_l||), so a mode
+    at 0 that B_l reaches only through roundoff counts as unreached.  When
+    LAPACK cannot separate the modes across the margin (ill-conditioned
+    clusters on it), the decision is undefined and
+    :class:`InternalConsistencyError` is raised.
     """
     A = as_matrix(A_l, "A_l")
     B = as_matrix(B_l, "B_l")
     n = A.shape[0]
     if A.shape != (n, n) or B.shape[0] != n:
         raise InputError("A_l must be square and B_l must match its rows")
-    T, Z, n_stable = schur(
-        A, output="real",
-        sort=lambda re, im: re < -PBH_EIG_MARGIN * max(1.0, float(np.hypot(re, im))))
-    A, B = T[n_stable:, n_stable:], Z[:, n_stable:].T @ B
-    shape = (A.shape[0], A.shape[0] + B.shape[1])
+    shape = (n, n + B.shape[1])
     scale = max(float(np.linalg.norm(A)), float(np.linalg.norm(B)))
+    try:
+        T, Z, n_stable = schur(
+            A, output="real",
+            sort=lambda re, im: re < -PBH_EIG_MARGIN * max(1.0, float(np.hypot(re, im))))
+    except np.linalg.LinAlgError as exc:
+        raise InternalConsistencyError(
+            f"stable/unstable Schur split of A_l failed: {exc}") from exc
+    A, B = T[n_stable:, n_stable:], Z[:, n_stable:].T @ B
     while A.shape[0]:
         U, s, _ = _svd(B)
         k = _rank(s, shape, rank_tol, scale)

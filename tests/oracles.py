@@ -59,6 +59,23 @@ def vstar_loop(cf, rank_tol: float = 1e-10):
     raise RuntimeError("output-nulling iteration failed to stabilize within r steps")
 
 
+def nested_step_direct(cf, Q, c: int, rank_tol: float = 1e-10):
+    """Reference for ``geometric._nested_step`` that forms the kernel: the
+    x-block image (cut floored at 1) of the kernel of
+    [[W_perp' A_tilde W, W_perp' G], [C_tilde W, D_tilde]], W = Q[:, :c].
+    Returns an orthonormal basis of V_{k+1} in R^r."""
+    from daeobs.geometric import _system_scale
+    from daeobs.linalg import _rank, _svd, image_basis
+
+    W, W_perp = Q[:, :c], Q[:, c:]
+    p, q = cf.D_tilde.shape
+    M = np.vstack([np.hstack([W_perp.T @ cf.A_tilde @ W, W_perp.T @ cf.G]),
+                   np.hstack([cf.C_tilde @ W, cf.D_tilde])])
+    _, s, Vt = _svd(M)
+    k = _rank(s, (cf.r + p, cf.r + q), rank_tol, _system_scale(cf))
+    return W @ image_basis(Vt[k:, :c].T, rank_tol, scale=1.0).basis
+
+
 def pbh_stabilizable(A, B, rank_tol: float = 1e-9, margin: float = 1e-9) -> bool:
     """Reference Popov-Belevitch-Hautus test, one complex SVD per
     eigenvalue: every eigenvalue with Re lambda >= -margin * max(1, ||A||)

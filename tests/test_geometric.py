@@ -13,7 +13,12 @@ from daeobs import (
 from daeobs.geometric import _nested_step
 
 from .conftest import cf_from_blocks, random_dae
-from .oracles import bounded_zeroing_lower_bound, friend_zeroing, vstar_loop
+from .oracles import (
+    bounded_zeroing_lower_bound,
+    friend_zeroing,
+    nested_step_direct,
+    vstar_loop,
+)
 
 ORACLE_HORIZON = 3.0
 ORACLE_STEPS = 150
@@ -47,6 +52,20 @@ def check_subspace_against_zeroing_oracle(cf, V, horizon=ORACLE_HORIZON,
         w = w / np.linalg.norm(w)
         lb = bounded_zeroing_lower_bound(*blocks, w, horizon, n_steps, budget)
         assert lb > 1e-5, f"state off the subspace looks zeroable: bound {lb}"
+
+
+def structured_draw(rng) -> DaeSystem:
+    """E = Q1 diag(I_r, 0) Q2 with sparse A and B in its coordinates:
+    n in [3, 20), m in [0, 3), r in [1, n)."""
+    n = int(rng.integers(3, 20))
+    m = int(rng.integers(0, 3))
+    r = int(rng.integers(1, n))
+    Q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    E = Q1 @ np.diag(np.r_[np.ones(r), np.zeros(n - r)]) @ Q2
+    A = Q1 @ (rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.25)) @ Q2
+    B = Q1 @ (rng.standard_normal((n, m)) * (rng.uniform(size=(n, m)) < 0.5))
+    return DaeSystem(E, A, B)
 
 
 class TestWeaklyObservableSubspace:
@@ -107,16 +126,7 @@ class TestWeaklyObservableSubspace:
         rng = np.random.default_rng(1)
         compared = 0
         for _ in range(2000):
-            n = int(rng.integers(3, 20))
-            m = int(rng.integers(0, 3))
-            r = int(rng.integers(1, n))
-            Q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
-            Q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
-            E = Q1 @ np.diag(np.r_[np.ones(r), np.zeros(n - r)]) @ Q2
-            A = Q1 @ (rng.standard_normal((n, n))
-                      * (rng.uniform(size=(n, n)) < 0.25)) @ Q2
-            B = Q1 @ (rng.standard_normal((n, m)) * (rng.uniform(size=(n, m)) < 0.5))
-            rec = construct(DaeSystem(E, A, B))
+            rec = construct(structured_draw(rng))
             try:
                 V_ref = vstar_loop(rec.cf)
                 friend(rec.cf, V_ref)
@@ -125,6 +135,26 @@ class TestWeaklyObservableSubspace:
             assert rec.V.dim == V_ref.dim
             compared += 1
         assert compared >= 1800
+
+    def test_step_matches_the_kernel_image(self):
+        """_nested_step reads the lost directions off M's row space; it
+        must give the subspace that the kernel's y-block image gives."""
+        rng = np.random.default_rng(2)
+        steps = 0
+        for _ in range(300):
+            cf = construct(structured_draw(rng)).cf
+            Q, c = np.eye(cf.r), cf.r
+            while c:
+                ref = nested_step_direct(cf, Q, c)
+                Q, c_next = _nested_step(cf, Q, c, 1e-10)
+                assert c_next == ref.shape[1]
+                W = Q[:, :c_next]
+                np.testing.assert_allclose(W @ W.T, ref @ ref.T, atol=1e-8)
+                steps += 1
+                if c_next == c:
+                    break
+                c = c_next
+        assert steps >= 400
 
 
 class TestSimulationOracle:

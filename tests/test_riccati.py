@@ -7,6 +7,7 @@ from scipy.linalg import block_diag, solve_continuous_are
 from daeobs import (
     DaeSystem,
     InputError,
+    InternalConsistencyError,
     LqWeights,
     NotStabilizableError,
     SampledSignal,
@@ -28,11 +29,13 @@ from .oracles import pbh_stabilizable
 def stabilizability_instances(draw):
     """(A, B) = Q ([[A_c, A_12], [0, A_u]], [B_c; 0]) with (A_c, B_c)
     random and A_u an uncontrollable block of drawn real modes and
-    complex pairs, hidden by a random orthogonal Q; every eigenvalue lies
+    complex pairs, hidden by a random orthogonal Q.  A_u's modes have real
+    part exactly 0 or at least 1e-3 in size; every other eigenvalue lies
     at least 1e-3 from the imaginary axis."""
     m = draw(st.integers(0, 2))
     n_c = draw(st.integers(1, 3)) if m else 0
-    re = st.floats(1e-3, 5.0).flatmap(lambda x: st.sampled_from([x, -x]))
+    re = st.one_of(st.just(0.0),
+                   st.floats(1e-3, 5.0).flatmap(lambda x: st.sampled_from([x, -x])))
     blocks = draw(st.lists(st.one_of(
         re.map(lambda a: np.array([[a]])),
         st.tuples(re, st.floats(0.1, 5.0)).map(
@@ -50,8 +53,27 @@ def stabilizability_instances(draw):
     B[:n_c] = rng.standard_normal((n_c, m))
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     A, B = Q @ A @ Q.T, Q @ B
-    assume(np.min(np.abs(np.linalg.eigvals(A).real)) >= 1e-3)
+    on_axis = sum(2 if b.shape[0] == 2 else 1 for b in blocks if b[0, 0] == 0.0)
+    assume(np.sum(np.abs(np.linalg.eigvals(A).real) < 1e-3) == on_axis)
     return A, B
+
+
+ROT = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+
+
+def clustered_pairs_on_the_margin(seed):
+    """Three rotated, strongly coupled complex pairs near +-i whose real
+    parts straddle the stability margin by up to 1e-6."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(3):
+        a = float(rng.choice([-1, 1])) * 10 ** rng.uniform(-14, -6)
+        b = 1.0 + 10 ** rng.uniform(-14, -4) * rng.standard_normal()
+        blocks.append(np.array([[a, b], [-b, a]]))
+    J = block_diag(*blocks)
+    J += np.triu(rng.standard_normal((6, 6)) * 10 ** rng.uniform(0, 8), 2)
+    Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    return Q @ J @ Q.T
 
 
 class TestStabilizability:
@@ -81,6 +103,10 @@ class TestStabilizability:
          np.array([[0.0], [0.0], [1.0]])),
         # uncontrollable mode at 0
         (np.diag([0.0, -1.0]), np.array([[0.0], [1.0]])),
+        # the same, rotated: B reaches the mode at 0 only through roundoff
+        (ROT @ np.diag([0.0, -1.0]) @ ROT.T, ROT @ np.array([[0.0], [1.0]])),
+        # a real coupling to the mode at 0 far under the rank cut
+        (np.diag([0.0, -1.0]), np.array([[1e-14], [1.0]])),
         # Jordan block: B = e1 reaches only the eigenvector
         (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0], [0.0]])),
     ])
@@ -98,6 +124,16 @@ class TestStabilizability:
         # uncontrollable, but a Hurwitz matrix is always stabilizable
         A = np.diag([-0.75, -1e9, -2e9])
         assert is_stabilizable(A, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("seed", [256, 1032, 1178])
+    def test_inseparable_margin_cluster_is_a_typed_error(self, seed):
+        # the sorted Schur form of these matrices fails in LAPACK's
+        # reordering (dgees info n+1) with the reference BLAS/LAPACK
+        A = clustered_pairs_on_the_margin(seed)
+        try:
+            assert is_stabilizable(A, np.zeros((6, 1))) in (True, False)
+        except InternalConsistencyError as exc:
+            assert "Schur split" in str(exc)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(stabilizability_instances())
