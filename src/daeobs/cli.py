@@ -52,7 +52,6 @@ from .problem_io import (
 )
 from .riccati import assemble_controller, solve_are
 from .simulate import (
-    autonomous_system,
     clean_realization,
     noise_system,
     run_estimation,
@@ -196,7 +195,7 @@ def _cmd_simulate(args) -> int:
     runs = []
     n_runs = args.runs if args.noisy else 1
     draw = sample_admissible if args.noisy else clean_realization
-    rec = construct(noise_system(prob) if args.noisy else autonomous_system(prob))
+    rec = construct(noise_system(prob, args.noisy))
     for i in range(n_runs):
         seed = opts.seed + i
         realization = draw(prob, t1, seed, step=opts.step, record=rec)

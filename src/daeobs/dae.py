@@ -90,12 +90,6 @@ def dual_dae(obs: ObservedDae) -> DaeSystem:
     return DaeSystem(obs.F.T.copy(), obs.A.T.copy(), -obs.H.T)
 
 
-def induced_observed(sys: DaeSystem) -> ObservedDae:
-    """Inverse of :func:`dual_dae`: the observed DAE a control-form system
-    is adjoint to."""
-    return ObservedDae(sys.E.T.copy(), sys.A_hat.T.copy(), -sys.B_hat.T)
-
-
 @dataclass(frozen=True)
 class CanonicalForm:
     """Coordinates in which E becomes [[I_r, 0], [0, 0]].

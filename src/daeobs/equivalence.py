@@ -224,7 +224,7 @@ def randomized_construction(base: ConstructionRecord, rng: np.random.Generator,
             "output-nulling dimension changed under a coordinate change"
         )
     O = _random_orthogonal(rng, V.dim)
-    V = Subspace(V.basis @ O, V.tol)
+    V = Subspace(V.basis @ O)
 
     F0 = friend(cf, V, rank_tol)
     L0 = input_kernel_matrix(cf, V, rank_tol)

@@ -24,7 +24,14 @@ import numpy as np
 from .errors import InputError, NotPositiveDefiniteError
 
 DEFAULT_RANK_TOL = 1e-10
-DEFAULT_SUBSPACE_TOL = 1e-9
+# Relative residual below which a vector counts as inside a subspace.
+SUBSPACE_TOL = 1e-9
+# Relative asymmetry a matrix validated as symmetric may carry.
+SYMMETRY_TOL = 1e-9
+# Relative floor a positive definite matrix's eigenvalues must clear.
+SPD_TOL = 1e-12
+# Relative depth below zero a semidefinite matrix's eigenvalues may reach.
+PSD_TOL = 1e-9
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -69,11 +76,10 @@ def _rank(s: np.ndarray, shape, rank_tol: float, scale: float = 0.0) -> int:
     return int(np.sum(s > rank_tol * max(smax, scale) * max(shape[0], shape[1], 1)))
 
 
-def numerical_rank(M, rank_tol: float = DEFAULT_RANK_TOL,
-                   scale: float = 0.0) -> int:
+def numerical_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     M = as_matrix(M)
     _, s, _ = _svd(M)
-    return _rank(s, M.shape, rank_tol, scale)
+    return _rank(s, M.shape, rank_tol)
 
 
 def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL,
@@ -107,13 +113,10 @@ class Subspace:
     """
 
     basis: np.ndarray
-    tol: float = DEFAULT_SUBSPACE_TOL
 
     def __post_init__(self):
         basis = as_matrix(self.basis, "subspace basis")
         object.__setattr__(self, "basis", basis)
-        if self.tol < 0:
-            raise InputError("subspace tolerance must be nonnegative")
         if basis.shape[1] > basis.shape[0]:
             raise InputError(
                 f"subspace dimension {basis.shape[1]} exceeds ambient "
@@ -122,7 +125,7 @@ class Subspace:
         if basis.shape[1]:
             gram = basis.T @ basis
             defect = np.linalg.norm(gram - np.eye(basis.shape[1]))
-            if defect > max(self.tol, 1e-12) * 100:
+            if defect > SUBSPACE_TOL * 100:
                 raise InputError(
                     f"subspace basis is not orthonormal (defect {defect:.3e})"
                 )
@@ -136,33 +139,29 @@ class Subspace:
         return self.basis.shape[1]
 
     @classmethod
-    def full(cls, n: int, tol: float = DEFAULT_SUBSPACE_TOL) -> "Subspace":
-        return cls(np.eye(n), tol)
+    def full(cls, n: int) -> "Subspace":
+        return cls(np.eye(n))
 
     @classmethod
-    def zero(cls, n: int, tol: float = DEFAULT_SUBSPACE_TOL) -> "Subspace":
-        return cls(np.zeros((n, 0)), tol)
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
+    def zero(cls, n: int) -> "Subspace":
+        return cls(np.zeros((n, 0)))
 
     def perp_projector(self) -> np.ndarray:
-        return np.eye(self.ambient_dim) - self.projector()
+        return np.eye(self.ambient_dim) - self.basis @ self.basis.T
 
-    def contains_vector(self, x, tol: float | None = None) -> bool:
+    def contains_vector(self, x) -> bool:
         x = as_vector(x, "vector")
         if x.size != self.ambient_dim:
             raise InputError(
                 f"vector length {x.size} does not match ambient dimension "
                 f"{self.ambient_dim}"
             )
-        tol = self.tol if tol is None else tol
         resid = x - self.basis @ (self.basis.T @ x)
-        return float(np.linalg.norm(resid)) <= tol * (1.0 + float(np.linalg.norm(x)))
+        return float(np.linalg.norm(resid)) <= \
+            SUBSPACE_TOL * (1.0 + float(np.linalg.norm(x)))
 
 
 def kernel_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
-                 tol: float = DEFAULT_SUBSPACE_TOL,
                  scale: float = 0.0) -> Subspace:
     """Orthonormal basis of the null space {x : Mx = 0}.
 
@@ -173,63 +172,63 @@ def kernel_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
     M = as_matrix(M)
     m, n = M.shape
     if m == 0 or not np.any(M):
-        return Subspace.full(n, tol)
+        return Subspace.full(n)
     _, s, Vt = _svd(M)
     r = _rank(s, M.shape, rank_tol, scale)
-    return Subspace(Vt[r:].T.copy(), tol)
+    return Subspace(Vt[r:].T.copy())
 
 
 def image_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
-                tol: float = DEFAULT_SUBSPACE_TOL,
                 scale: float = 0.0) -> Subspace:
     """Orthonormal basis of the column space of M."""
     M = as_matrix(M)
     m, n = M.shape
     if n == 0 or not np.any(M):
-        return Subspace.zero(m, tol)
+        return Subspace.zero(m)
     U, s, _ = _svd(M)
     r = _rank(s, M.shape, rank_tol, scale)
-    return Subspace(U[:, :r].copy(), tol)
+    return Subspace(U[:, :r].copy())
 
 
-def require_symmetric(M, name: str = "matrix", tol: float = 1e-9) -> np.ndarray:
+def require_symmetric(M, name: str = "matrix") -> np.ndarray:
     M = as_matrix(M, name)
     if M.shape[0] != M.shape[1]:
         raise InputError(f"{name} must be square, got shape {M.shape}")
     scale = 1.0 + float(np.linalg.norm(M))
-    if float(np.linalg.norm(M - M.T)) > tol * scale:
+    if float(np.linalg.norm(M - M.T)) > SYMMETRY_TOL * scale:
         raise InputError(f"{name} must be symmetric")
     return symmetrize(M)
 
 
-def require_spd(M, name: str = "matrix", tol: float = 1e-12) -> np.ndarray:
+def require_spd(M, name: str = "matrix") -> np.ndarray:
     """Validate a symmetric positive definite matrix (0x0 passes)."""
     M = require_symmetric(M, name)
     if M.shape[0] == 0:
         return M
     w = np.linalg.eigvalsh(M)
-    if w[0] <= tol * max(1.0, w[-1]):
+    if w[0] <= SPD_TOL * max(1.0, w[-1]):
         raise NotPositiveDefiniteError(f"{name} must be symmetric positive definite")
     return M
 
 
-def require_psd(M, name: str = "matrix", tol: float = 1e-9) -> np.ndarray:
+def require_psd(M, name: str = "matrix") -> np.ndarray:
     M = require_symmetric(M, name)
     if M.shape[0] == 0:
         return M
     w = np.linalg.eigvalsh(M)
-    if w[0] < -tol * max(1.0, abs(w[-1])):
+    if w[0] < -PSD_TOL * max(1.0, abs(w[-1])):
         raise NotPositiveDefiniteError(f"{name} must be positive semidefinite")
     return M
 
 
-def inv_sqrt_spd(M, what: str = "matrix", tol: float = 1e-12) -> np.ndarray:
+def inv_sqrt_spd(M, what: str = "matrix") -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix.
 
     Computed from the symmetric eigendecomposition.  Raises
     :class:`NotPositiveDefiniteError` when the input is not symmetric or
-    has an eigenvalue at or below the tolerance, naming ``what`` in the
-    message so callers can point at the offending block.
+    has an eigenvalue at or below ``SPD_TOL`` times max(1, the largest),
+    naming ``what`` in the message so callers can point at the offending
+    block.
     """
     M = as_matrix(M, what)
     if M.shape[0] != M.shape[1]:
@@ -240,7 +239,7 @@ def inv_sqrt_spd(M, what: str = "matrix", tol: float = 1e-12) -> np.ndarray:
     if float(np.linalg.norm(M - M.T)) > 1e-10 * scale:
         raise NotPositiveDefiniteError(f"{what} is not symmetric")
     w, V = np.linalg.eigh(symmetrize(M))
-    if w[0] <= tol * max(1.0, w[-1]):
+    if w[0] <= SPD_TOL * max(1.0, w[-1]):
         raise NotPositiveDefiniteError(
             f"{what} is singular or not positive definite "
             f"(smallest eigenvalue {w[0]:.3e})"

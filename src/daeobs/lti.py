@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dae import CanonicalForm, DaeSystem, canonical_form
-from .errors import IDENTITY_TOL, ConsistencyError, InputError, require
+from .errors import IDENTITY_TOL, InputError, require
 from .geometric import OutputNullingData, output_nulling
 from .linalg import (
     DEFAULT_RANK_TOL,
     Subspace,
-    as_matrix,
     as_vector,
     image_basis,
     numerical_rank,
@@ -161,16 +160,6 @@ def construct(sys: DaeSystem,
     return assemble(cf, ond, rank_tol)
 
 
-def is_consistent(lti: AssociatedLti, E, x0) -> bool:
-    """True iff E x0 lies in the consistency space X, i.e. the DAE admits
-    a solution from x0 on every horizon."""
-    E = as_matrix(E, "E")
-    x0 = as_vector(x0, "x0")
-    if E.shape != (lti.n, lti.n) or x0.size != lti.n:
-        raise InputError("E or x0 dimensions do not match the system")
-    return lti.X.contains_vector(E @ x0)
-
-
 def output_trajectory_from_v0(lti: AssociatedLti, v0,
                               g: SampledSignal) -> tuple[SampledSignal, SampledSignal, SampledSignal]:
     """Integrate the reduced system from v(0) = v0 and emit (x, u, v)."""
@@ -185,23 +174,3 @@ def output_trajectory_from_v0(lti: AssociatedLti, v0,
     x = SampledSignal(g.grid.copy(), x_vals)
     u = SampledSignal(g.grid.copy(), u_vals)
     return x, u, v
-
-
-def output_trajectory(lti: AssociatedLti, E, x0,
-                      g: SampledSignal) -> tuple[SampledSignal, SampledSignal, SampledSignal]:
-    """DAE trajectory (x, u) generated by the input g from the initial
-    state x0, together with the reduced state v.
-
-    Requires E x0 to be consistent; the reduced initial state is
-    v(0) = Lambda (E x0), and Lambda (E x(t)) = v(t) holds along the
-    result up to integration error.
-    """
-    E = as_matrix(E, "E")
-    x0 = as_vector(x0, "x0")
-    if not is_consistent(lti, E, x0):
-        raise ConsistencyError(
-            "initial state is inconsistent: E x0 is outside the "
-            "consistency space, the DAE has no solution from it"
-        )
-    v0 = lti.Lambda @ (E @ x0)
-    return output_trajectory_from_v0(lti, v0, g)

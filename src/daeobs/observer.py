@@ -115,37 +115,28 @@ class Observer:
         return np.linalg.eigvals(self.A_o) if self.A_o.size else np.zeros(0, complex)
 
 
-def lambda_opt(F, Q0, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Optimal correction map for the initial-state term of the adjoint cost.
+def q0_bar(F, Q0, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Terminal weight of the adjoint control problem.
 
-    With U an orthonormal basis of ker F^T, the minimizer over {d : F^T d = 0}
-    of (F^T+ w - d)^T Q0^{-1} (F^T+ w - d) is d* = lambda_opt(F, Q0) w.
-    When F^T has a trivial kernel the map is zero.
+    With U an orthonormal basis of ker F^T, the correction
+    d* = Lambda_opt w minimizes (F^T+ w - d)^T Q0^{-1} (F^T+ w - d) over
+    {d : F^T d = 0}, where Lambda_opt = U (U^T Q0^{-1} U)^{-1} U^T Q0^{-1} F^T+
+    (zero when ker F^T is trivial).  Then
+    Q0_bar = (F^T+ - Lambda_opt)^T Q0^{-1} (F^T+ - Lambda_opt) is symmetric
+    positive semidefinite, and w^T Q0_bar w is that constrained minimum.
     """
     F = as_matrix(F, "F")
     Q0 = require_spd(Q0, "Q0")
     n = F.shape[0]
     if F.shape != (n, n) or Q0.shape[0] != n:
         raise InputError("F must be square and Q0 of matching size")
-    U = kernel_basis(F.T, rank_tol).basis
-    if U.shape[1] == 0:
-        return np.zeros((n, n))
-    Q0inv = inv_spd(Q0, "Q0")
     Ftp = pseudoinverse(F.T, rank_tol)
-    return U @ np.linalg.solve(U.T @ Q0inv @ U, U.T @ Q0inv @ Ftp)
-
-
-def q0_bar(F, Q0, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Terminal weight of the adjoint control problem.
-
-    Q0_bar = (F^T+ - lambda_opt)^T Q0^{-1} (F^T+ - lambda_opt); symmetric
-    positive semidefinite, and w^T Q0_bar w equals the constrained minimum
-    that lambda_opt achieves.
-    """
-    F = as_matrix(F, "F")
-    Q0 = require_spd(Q0, "Q0")
-    D = pseudoinverse(F.T, rank_tol) - lambda_opt(F, Q0, rank_tol)
-    return symmetrize(D.T @ inv_spd(Q0, "Q0") @ D)
+    Q0inv = inv_spd(Q0, "Q0")
+    U = kernel_basis(F.T, rank_tol).basis
+    D = Ftp
+    if U.shape[1]:
+        D = Ftp - U @ np.linalg.solve(U.T @ Q0inv @ U, U.T @ Q0inv @ Ftp)
+    return symmetrize(D.T @ Q0inv @ D)
 
 
 @dataclass(frozen=True)
@@ -173,27 +164,27 @@ class ObserverSynthesis:
             raise InputError(f"ell must have length {self.obs.n}")
         return self.dual.lti.X.contains_vector(self.obs.F.T @ ell)
 
-    def worst_case_error(self, ell) -> float:
-        """sigma = ell^T F Lambda^T P Lambda F^T ell for an estimable ell."""
-        row = self._output_row(ell)
-        return max(float(row @ self.ricc.P @ row), 0.0)
-
     def _output_row(self, ell) -> np.ndarray:
-        ell = as_vector(ell, "ell")
-        return (ell @ self.obs.F) @ self.ctrl.B_c.T
-
-    def for_ell(self, ell) -> Observer:
+        """ell^T F Lambda^T; raises :class:`InestimableError` unless ell
+        is estimable."""
         if not self.is_estimable(ell):
             raise InestimableError(
                 "functional is not estimable: the adjoint DAE has no "
                 "solution on the whole time axis for F^T ell"
             )
+        return (as_vector(ell, "ell") @ self.obs.F) @ self.ctrl.B_c.T
+
+    def worst_case_error(self, ell) -> float:
+        """sigma = ell^T F Lambda^T P Lambda F^T ell for an estimable ell."""
         row = self._output_row(ell)
+        return max(float(row @ self.ricc.P @ row), 0.0)
+
+    def for_ell(self, ell) -> Observer:
         return Observer(
             A_o=self.ctrl.A_c.T.copy(),
             B_o=self.ctrl.C_u.T.copy(),
-            C_o=row.reshape(1, -1),
-            sigma=max(float(row @ self.ricc.P @ row), 0.0),
+            C_o=self._output_row(ell).reshape(1, -1),
+            sigma=self.worst_case_error(ell),
             P=self.ricc.P,
             Lambda=self.ctrl.B_c,
         )
@@ -243,21 +234,6 @@ def synthesize(prob: EstimationProblem,
     synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R,
                                  rank_tol, are_tol)
     return synth.for_ell(prob.ell)
-
-
-def observer_kernel(obsv: Observer, t: float, s: float) -> np.ndarray:
-    """Integral-kernel view of the observer at the pair (t, s), s <= t.
-
-    The estimate admits the representation
-    estimate(t) = int_0^t kernel(t, s)^T y(s) ds with
-    kernel(t, s) = (C_o e^{A_o (t-s)} B_o)^T, a p-vector; applying it by
-    quadrature reproduces the state-space observer's output.
-    """
-    if s > t:
-        raise InputError(f"kernel requires s <= t, got s={s}, t={t}")
-    if obsv.n_hat == 0:
-        return np.zeros(obsv.p)
-    return np.asarray(obsv.C_o @ expm(obsv.A_o * (t - s)) @ obsv.B_o).ravel()
 
 
 def worst_case_bound(synth: ObserverSynthesis, ell, t1: float) -> float:

@@ -225,11 +225,6 @@ def write_report(path: str, report: dict):
         fh.write(text)
 
 
-def load_report(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]):
     """Write float columns with fixed '%.12e' formatting and LF endings."""
     if not columns:

@@ -53,11 +53,12 @@ from .linalg import (
     require_spd,
     symmetrize,
 )
-from .lti import AssociatedLti, output_trajectory_from_v0
-from .signals import SampledSignal, quadratic_form_series, simpson
+from .lti import AssociatedLti
 
 DEFAULT_ARE_TOL = 1e-8
 PBH_EIG_MARGIN = 1e-9
+# Relative rank cut of the controllability staircase in is_stabilizable.
+STAIRCASE_RANK_TOL = 1e-9
 MAX_REFINE = 25
 
 
@@ -99,11 +100,6 @@ class RiccatiSolution:
     def n_hat(self) -> int:
         return self.P.shape[0]
 
-    def is_positive_definite(self, tol: float = 0.0) -> bool:
-        if self.n_hat == 0:
-            return True
-        return bool(np.linalg.eigvalsh(self.P)[0] > tol)
-
 
 @dataclass(frozen=True)
 class DynamicController:
@@ -120,7 +116,7 @@ class DynamicController:
         return np.linalg.eigvals(self.A_c) if self.A_c.size else np.zeros(0, complex)
 
 
-def is_stabilizable(A_l, B_l, rank_tol: float = 1e-9) -> bool:
+def is_stabilizable(A_l, B_l) -> bool:
     """Whether every mode of A_l that is not safely stable is controllable.
 
     One ordered real Schur form A_l = Z T Z' puts first the modes with
@@ -154,7 +150,7 @@ def is_stabilizable(A_l, B_l, rank_tol: float = 1e-9) -> bool:
     A, B = T[n_stable:, n_stable:], Z[:, n_stable:].T @ B
     while A.shape[0]:
         U, s, _ = _svd(B)
-        k = _rank(s, shape, rank_tol, scale)
+        k = _rank(s, shape, STAIRCASE_RANK_TOL, scale)
         if k == 0:
             return False
         A = U.T @ A @ U
@@ -281,22 +277,3 @@ def optimal_cost(rs: RiccatiSolution, v0) -> float:
     if v0.size != rs.n_hat:
         raise InputError(f"v0 must have length {rs.n_hat}")
     return float(v0 @ rs.P @ v0)
-
-
-def evaluate_cost(lti: AssociatedLti, w: LqWeights, E, v0,
-                  g: SampledSignal, t1: float) -> float:
-    """Finite-horizon cost of an explicit input: quadrature of the running
-    term along the simulated trajectory plus the terminal term
-    v(t1)^T (E C_s)^T Q0 (E C_s) v(t1)."""
-    E = as_matrix(E, "E")
-    v0 = as_vector(v0, "v0")
-    ECs = E @ lti.C_s
-    M_term = ECs.T @ w.Q0 @ ECs
-    if t1 == 0:
-        return float(v0 @ M_term @ v0)
-    g = g.truncated(t1)
-    _, _, v = output_trajectory_from_v0(lti, v0, g)
-    nu = SampledSignal(g.grid, lti.C_l @ v.values + lti.D_l @ g.values)
-    running = simpson(g.grid, quadratic_form_series(w.S(), nu))
-    v_end = v.values[:, -1]
-    return float(running + v_end @ M_term @ v_end)

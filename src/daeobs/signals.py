@@ -56,10 +56,6 @@ class SampledSignal:
         return self.values.shape[0]
 
     @property
-    def t1(self) -> float:
-        return float(self.grid[-1])
-
-    @property
     def step(self) -> float:
         """Uniform grid step; raises for non-uniform grids."""
         if self.grid.size < 2:

@@ -34,20 +34,13 @@ from .signals import (
     uniform_grid,
 )
 
-__all__ = [
-    "ExperimentResult",
-    "NoiseRealization",
-    "noise_system",
-    "autonomous_system",
-    "sample_admissible",
-    "clean_realization",
-    "run_observer",
-    "run_estimation",
-    "finite_horizon_infimum",
-    "estimation_experiment",
-]
-
 DEFAULT_STEP = 1e-3
+# Highest angular frequency of the sampled noise; low frequencies keep
+# quadrature cross-checks of the ellipsoid radius accurate at the
+# default step.
+NOISE_MAX_FREQ = 0.5
+# Share of the grid, at its end, that the trailing error is taken over.
+TRAILING_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -68,30 +61,22 @@ class NoiseRealization:
     autonomous: bool = False
 
 
-def noise_system(prob: EstimationProblem) -> DaeSystem:
-    """Control-form system whose trajectories are the (x, f) pairs."""
+def noise_system(prob: EstimationProblem, noisy: bool = True) -> DaeSystem:
+    """Control-form system whose trajectories are the (x, f) pairs; with
+    ``noisy=False``, that of the noise-free DAE (empty input)."""
     n = prob.n
-    return DaeSystem(prob.obs.F.copy(), prob.obs.A.copy(), np.eye(n))
+    B = np.eye(n) if noisy else np.zeros((n, 0))
+    return DaeSystem(prob.obs.F.copy(), prob.obs.A.copy(), B)
 
 
-def autonomous_system(prob: EstimationProblem) -> DaeSystem:
-    """Control-form system of the noise-free DAE (empty input)."""
-    n = prob.n
-    return DaeSystem(prob.obs.F.copy(), prob.obs.A.copy(), np.zeros((n, 0)))
-
-
-def _smooth_signal(rng: np.random.Generator, dim: int, grid: np.ndarray,
-                   max_freq: float = 0.5) -> SampledSignal:
-    """Band-limited random signal: a few sinusoids per channel.
-
-    Low frequencies keep quadrature cross-checks of the ellipsoid radius
-    accurate at the default step.
-    """
+def _smooth_signal(rng: np.random.Generator, dim: int,
+                   grid: np.ndarray) -> SampledSignal:
+    """Band-limited random signal: a few sinusoids per channel."""
     vals = np.zeros((dim, grid.size))
     for i in range(dim):
         for _ in range(3):
             amp = rng.uniform(-1.0, 1.0)
-            freq = rng.uniform(0.05, max_freq)
+            freq = rng.uniform(0.05, NOISE_MAX_FREQ)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             vals[i] += amp * np.sin(freq * grid + phase)
     return SampledSignal(grid, vals)
@@ -142,7 +127,8 @@ def clean_realization(prob: EstimationProblem, t1: float, seed: int,
     d(Fx)/dt = A x exactly; x0 is normalized to unit length when nonzero.
     """
     rng = np.random.default_rng(seed)
-    rec = record if record is not None else construct(autonomous_system(prob))
+    rec = record if record is not None \
+        else construct(noise_system(prob, noisy=False))
     lti = rec.lti
     grid = uniform_grid(t1, step)
     v0 = rng.standard_normal(lti.n_hat)
@@ -231,8 +217,8 @@ class ExperimentResult:
     def initial_abs_error(self) -> float:
         return float(abs(self.error.values[0, 0]))
 
-    def trailing_max_abs_error(self, fraction: float = 0.1) -> float:
-        tail = max(1, int(self.error.grid.size * fraction))
+    def trailing_max_abs_error(self) -> float:
+        tail = max(1, int(self.error.grid.size * TRAILING_FRACTION))
         return float(np.max(np.abs(self.error.values[0, -tail:])))
 
 
@@ -265,13 +251,10 @@ def run_estimation(prob: EstimationProblem, obsv: Observer,
 
     Plant and observer are integrated together as one linear system (see
     ``_coupled_system``).  ``record`` may carry the prebuilt reduction of
-    the matching noise/autonomous system to avoid reconstructing it per
-    run.
+    the matching :func:`noise_system` to avoid reconstructing it per run.
     """
     if record is None:
-        sys = autonomous_system(prob) if realization.autonomous \
-            else noise_system(prob)
-        record = construct(sys)
+        record = construct(noise_system(prob, not realization.autonomous))
     lti = record.lti
     if not lti.X.contains_vector(realization.x0):
         raise ConsistencyError(

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from daeobs import DaeSystem, LqWeights, construct, is_stabilizable, solve_are
+from daeobs import DaeSystem, LqWeights, construct, solve_are
 from daeobs.dae import canonical_form_from_transforms
+from daeobs.riccati import is_stabilizable
 
 
 def random_spd(rng: np.random.Generator, n: int, spread: float = 0.5):

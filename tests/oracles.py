@@ -2,13 +2,24 @@
 
 Each oracle deliberately takes a different computational route than the
 code it checks: brute-force least squares, KKT systems, textbook filter
-formulas via scipy's Riccati solver, and finite differences.
+formulas via scipy's Riccati solver, and finite differences.  The
+reference views at the end (costs by quadrature, trajectories from a
+physical initial state, the observer's integral kernel, the inverse of
+the duality map) are built on the library's own pieces and exist only
+for the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_are
+
+from daeobs.dae import DaeSystem, ObservedDae
+from daeobs.errors import ConsistencyError, InputError
+from daeobs.linalg import as_matrix, as_vector
+from daeobs.lti import AssociatedLti, output_trajectory_from_v0
+from daeobs.riccati import LqWeights
+from daeobs.signals import SampledSignal, quadratic_form_series, simpson
 
 
 def rk4_loop(A, B, x0, h: float, U) -> np.ndarray:
@@ -229,10 +240,9 @@ def adversarial_error_lower_bound(prob, obsv, t1: float, step: float,
     the error functional and W the rho Gram matrix on the atoms.  This
     lower-bounds the true worst case, sandwiching sigma from below.
     """
-    import daeobs
-    from daeobs.lti import construct, output_trajectory_from_v0
-    from daeobs.signals import SampledSignal, simpson, uniform_grid
-    from daeobs.simulate import noise_system
+    from daeobs.lti import construct
+    from daeobs.signals import uniform_grid
+    from daeobs.simulate import noise_system, run_observer
 
     rec = construct(noise_system(prob))
     lti = rec.lti
@@ -256,7 +266,7 @@ def adversarial_error_lower_bound(prob, obsv, t1: float, step: float,
         x, f, _ = output_trajectory_from_v0(lti, v0, SampledSignal(grid, gvals))
         x0 = prob.obs.F @ x.values[:, 0]
         y = SampledSignal(grid, prob.obs.H @ x.values + evals)
-        est = daeobs.run_observer(obsv, y)
+        est = run_observer(obsv, y)
         err = float((prob.ell @ prob.obs.F) @ x.values[:, -1]
                     - est.values[0, -1])
         return err, x0, f.values, evals
@@ -316,3 +326,73 @@ def recover_input(lti, E, x_sig, u_sig):
     recon = lti.C_l @ v + lti.D_l @ g
     resid = float(np.max(np.abs(stacked - recon))) if stacked.size else 0.0
     return g, resid
+
+
+def induced_observed(sys: DaeSystem) -> ObservedDae:
+    """Inverse of ``dae.dual_dae``: the observed DAE a control-form system
+    is adjoint to."""
+    return ObservedDae(sys.E.T.copy(), sys.A_hat.T.copy(), -sys.B_hat.T)
+
+
+def is_consistent(lti: AssociatedLti, E, x0) -> bool:
+    """True iff E x0 lies in the consistency space X, i.e. the DAE admits
+    a solution from x0 on every horizon."""
+    E = as_matrix(E, "E")
+    x0 = as_vector(x0, "x0")
+    if E.shape != (lti.n, lti.n) or x0.size != lti.n:
+        raise InputError("E or x0 dimensions do not match the system")
+    return lti.X.contains_vector(E @ x0)
+
+
+def output_trajectory(lti: AssociatedLti, E, x0,
+                      g: SampledSignal) -> tuple[SampledSignal, SampledSignal, SampledSignal]:
+    """DAE trajectory (x, u) generated by the input g from the initial
+    state x0, together with the reduced state v.
+
+    Requires E x0 to be consistent; the reduced initial state is
+    v(0) = Lambda (E x0), and Lambda (E x(t)) = v(t) holds along the
+    result up to integration error.
+    """
+    E = as_matrix(E, "E")
+    x0 = as_vector(x0, "x0")
+    if not is_consistent(lti, E, x0):
+        raise ConsistencyError(
+            "initial state is inconsistent: E x0 is outside the "
+            "consistency space, the DAE has no solution from it"
+        )
+    v0 = lti.Lambda @ (E @ x0)
+    return output_trajectory_from_v0(lti, v0, g)
+
+
+def evaluate_cost(lti: AssociatedLti, w: LqWeights, E, v0,
+                  g: SampledSignal, t1: float) -> float:
+    """Finite-horizon cost of an explicit input: quadrature of the running
+    term along the simulated trajectory plus the terminal term
+    v(t1)^T (E C_s)^T Q0 (E C_s) v(t1)."""
+    E = as_matrix(E, "E")
+    v0 = as_vector(v0, "v0")
+    ECs = E @ lti.C_s
+    M_term = ECs.T @ w.Q0 @ ECs
+    if t1 == 0:
+        return float(v0 @ M_term @ v0)
+    g = g.truncated(t1)
+    _, _, v = output_trajectory_from_v0(lti, v0, g)
+    nu = SampledSignal(g.grid, lti.C_l @ v.values + lti.D_l @ g.values)
+    running = simpson(g.grid, quadratic_form_series(w.S(), nu))
+    v_end = v.values[:, -1]
+    return float(running + v_end @ M_term @ v_end)
+
+
+def observer_kernel(obsv, t: float, s: float) -> np.ndarray:
+    """Integral-kernel view of the observer at the pair (t, s), s <= t.
+
+    The estimate admits the representation
+    estimate(t) = int_0^t kernel(t, s)^T y(s) ds with
+    kernel(t, s) = (C_o e^{A_o (t-s)} B_o)^T, a p-vector; applying it by
+    quadrature reproduces the state-space observer's output.
+    """
+    if s > t:
+        raise InputError(f"kernel requires s <= t, got s={s}, t={t}")
+    if obsv.n_hat == 0:
+        return np.zeros(obsv.p)
+    return np.asarray(obsv.C_o @ expm(obsv.A_o * (t - s)) @ obsv.B_o).ravel()

@@ -13,28 +13,25 @@ import numpy as np
 from daeobs import (
     DaeSystem,
     EstimationProblem,
-    SampledSignal,
     assemble_controller,
     build_equivalence,
-    clean_realization,
     construct,
     estimation_experiment,
     finite_horizon_infimum,
-    optimal_cost,
-    randomized_construction,
     sample_admissible,
     solve_are,
     synthesize,
     synthesize_estimator,
-    uniform_grid,
-    verify_equivalence,
 )
 from daeobs.cli import main as cli_main
+from daeobs.equivalence import randomized_construction, verify_equivalence
 from daeobs.fixtures import data_path
 from daeobs.lti import output_trajectory_from_v0
 from daeobs.observer import worst_case_bound
 from daeobs.problem_io import load_problem
-from daeobs.simulate import noise_system
+from daeobs.riccati import optimal_cost
+from daeobs.signals import SampledSignal, uniform_grid
+from daeobs.simulate import clean_realization, noise_system
 
 from .conftest import random_dae
 from .oracles import fd_dae_defect, recover_input
@@ -265,7 +262,8 @@ def test_criterion_8_appendix_equivalence():
 
 
 def test_criterion_9_output_nulling_vs_simulation():
-    from daeobs import canonical_form, weakly_observable_subspace
+    from daeobs.dae import canonical_form
+    from daeobs.geometric import weakly_observable_subspace
     rng = np.random.default_rng(99)
     checked = 0
     for _ in range(10):

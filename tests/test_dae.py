@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from daeobs import (
-    DaeSystem,
-    InputError,
-    ObservedDae,
-    canonical_form,
-    dual_dae,
-    induced_observed,
-)
+from daeobs import DaeSystem, InputError, ObservedDae
+from daeobs.dae import canonical_form, dual_dae
 
 from .conftest import random_dae
+from .oracles import induced_observed
 
 
 class TestContainers:

@@ -7,10 +7,9 @@ from daeobs import (
     InputError,
     build_equivalence,
     construct,
-    randomized_construction,
     synthesize_estimator,
-    verify_equivalence,
 )
+from daeobs.equivalence import randomized_construction, verify_equivalence
 
 from .conftest import random_dae
 from .test_observer import classical_problem
@@ -98,7 +97,8 @@ class TestInvarianceOfSynthesis:
             assert abs(sigma2 - sigma_base) <= 1e-8 * (1 + sigma_base)
 
     def test_optimal_value_invariant_across_builds(self, reduced_instance_pool):
-        from daeobs import optimal_cost, solve_are
+        from daeobs import solve_are
+        from daeobs.riccati import optimal_cost
         sys, w, rec, rs = reduced_instance_pool[3]
         rng = np.random.default_rng(12)
         x0 = rec.lti.C_s @ rng.standard_normal(rec.lti.n_hat)

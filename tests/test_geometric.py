@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from daeobs import (
-    DaeSystem,
-    InternalConsistencyError,
-    construct,
+from daeobs import DaeSystem, InternalConsistencyError, construct
+from daeobs.geometric import (
+    _nested_step,
     friend,
     input_kernel_matrix,
     output_nulling,
     weakly_observable_subspace,
 )
-from daeobs.geometric import _nested_step
 
 from .conftest import cf_from_blocks, random_dae
 from .oracles import (
@@ -104,7 +102,7 @@ class TestWeaklyObservableSubspace:
         rng = np.random.default_rng(5)
         for _ in range(10):
             sys = random_dae(rng, 4, int(rng.integers(0, 2)), int(rng.integers(1, 5)))
-            from daeobs import canonical_form
+            from daeobs.dae import canonical_form
             cf = canonical_form(sys)
             Q, c = np.eye(cf.r), cf.r
             dims = [c]
@@ -216,7 +214,7 @@ class TestFriend:
     def test_defect_norms(self, seed):
         rng = np.random.default_rng(400 + seed)
         sys = random_dae(rng, 4, int(rng.integers(0, 3)), int(rng.integers(1, 5)))
-        from daeobs import canonical_form
+        from daeobs.dae import canonical_form
         cf = canonical_form(sys)
         data = output_nulling(cf)
         scale = 1 + np.linalg.norm(cf.A_tilde) + np.linalg.norm(cf.G)

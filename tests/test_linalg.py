@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from daeobs import (
-    InputError,
-    NotPositiveDefiniteError,
+from daeobs import InputError, NotPositiveDefiniteError
+from daeobs.linalg import (
     Subspace,
     image_basis,
     inv_sqrt_spd,
     kernel_basis,
+    numerical_rank,
     pseudoinverse,
 )
-from daeobs.linalg import numerical_rank
 
 from .oracles import penrose_defects
 

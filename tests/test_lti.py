@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
 
-from daeobs import (
-    ConsistencyError,
-    DaeSystem,
-    SampledSignal,
-    construct,
-    is_consistent,
-    output_trajectory,
-    output_trajectory_from_v0,
-    uniform_grid,
-)
+from daeobs import ConsistencyError, DaeSystem, construct
+from daeobs.lti import output_trajectory_from_v0
+from daeobs.signals import SampledSignal, uniform_grid
 
 from .conftest import random_dae
-from .oracles import fd_dae_defect, recover_input
+from .oracles import fd_dae_defect, is_consistent, output_trajectory, recover_input
 
 
 def sine_input(k, grid, seed=0):

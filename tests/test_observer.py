@@ -7,23 +7,20 @@ from daeobs import (
     InputError,
     NotStabilizableError,
     ObservedDae,
-    SampledSignal,
-    dual_dae,
-    lambda_opt,
-    observer_kernel,
-    q0_bar,
-    run_observer,
     synthesize,
     synthesize_estimator,
-    uniform_grid,
 )
+from daeobs.dae import dual_dae
 from daeobs.fixtures import data_path
 from daeobs.linalg import pseudoinverse
+from daeobs.observer import q0_bar, worst_case_bound
 from daeobs.problem_io import load_problem
 from daeobs.riccati import assemble_controller
+from daeobs.signals import SampledSignal, uniform_grid
+from daeobs.simulate import run_observer
 
 from .conftest import random_spd
-from .oracles import classical_filter, kkt_constrained_min
+from .oracles import classical_filter, kkt_constrained_min, observer_kernel
 
 A_CL = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [-0.3, 0.0, -1.5]])
 H_CL = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
@@ -36,14 +33,28 @@ def classical_problem(ell=(1.0, 0.0, 0.0)):
 
 
 class TestLambdaOpt:
+    """The optimal initial-state correction inside q0_bar: for each w,
+    w' q0_bar w must equal the KKT minimum over {d : F' d = 0} of
+    (F'+ w - d)' Q0^{-1} (F'+ w - d)."""
+
     def test_invertible_F_gives_zero(self):
+        # ker F' is trivial: no correction, the minimum is |F'^{-1} w|^2
         rng = np.random.default_rng(0)
         F = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-        assert np.linalg.norm(lambda_opt(F, np.eye(3))) <= 1e-12
+        Qb = q0_bar(F, np.eye(3))
+        Ftp = pseudoinverse(F.T)
+        for _ in range(3):
+            w = rng.standard_normal(3)
+            d_star, val = kkt_constrained_min(Ftp @ w, np.eye(3), F)
+            assert np.linalg.norm(d_star) <= 1e-12
+            assert abs(float(w @ Qb @ w) - val) <= 1e-12
 
     def test_zero_F(self):
-        # ker F^T is everything but F^T+ = 0, so the map is zero
-        assert np.linalg.norm(lambda_opt(np.zeros((2, 2)), np.eye(2))) == 0.0
+        # ker F^T is everything but F^T+ = 0, so the minimum is zero
+        Qb = q0_bar(np.zeros((2, 2)), np.eye(2))
+        for w in (np.array([1.0, 0.0]), np.array([0.3, -2.0])):
+            _, val = kkt_constrained_min(np.zeros(2), np.eye(2), np.zeros((2, 2)))
+            assert float(w @ Qb @ w) == val == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_kkt_oracle(self, seed):
@@ -52,25 +63,29 @@ class TestLambdaOpt:
         # random singular F
         F = rng.standard_normal((n, 2)) @ rng.standard_normal((2, n))
         Q0 = random_spd(rng, n)
-        L = lambda_opt(F, Q0)
+        Qb = q0_bar(F, Q0)
         Ftp = pseudoinverse(F.T)
         for _ in range(3):
             z0 = rng.standard_normal(n)
             w = F.T @ z0
-            d_star, _ = kkt_constrained_min(Ftp @ w, Q0, F)
-            assert np.linalg.norm(L @ w - d_star) <= 1e-8 * (1 + np.linalg.norm(d_star))
+            d_star, val = kkt_constrained_min(Ftp @ w, Q0, F)
+            assert abs(float(w @ Qb @ w) - val) <= 1e-8 * (1 + np.linalg.norm(d_star))
 
     def test_rank_one_structured(self):
         F = np.array([[1.0, 0.0], [0.0, 0.0]])
         Q0 = np.diag([2.0, 3.0])
-        L = lambda_opt(F, Q0)
+        Qb = q0_bar(F, Q0)
         # ker F^T = span(e2); F^T+ maps onto span(e1): correction stays zero
         Ftp = pseudoinverse(F.T)
         for w in (np.array([1.0, 0.0]), np.array([0.3, 0.0])):
-            d_star, _ = kkt_constrained_min(Ftp @ w, Q0, F)
-            assert np.linalg.norm(L @ w - d_star) <= 1e-12
+            d_star, val = kkt_constrained_min(Ftp @ w, Q0, F)
+            assert np.linalg.norm(d_star) <= 1e-12
+            assert abs(float(w @ Qb @ w) - val) <= 1e-12
         # with Q0 = I the kernel projector annihilates Im F^T+ entirely
-        assert np.linalg.norm(lambda_opt(F, np.eye(2))) <= 1e-14
+        Qb = q0_bar(F, np.eye(2))
+        for w in (np.array([1.0, 0.0]), np.array([0.3, 0.7])):
+            _, val = kkt_constrained_min(Ftp @ w, np.eye(2), F)
+            assert abs(float(w @ Qb @ w) - val) <= 1e-14
 
 
 class TestQ0Bar:
@@ -157,6 +172,18 @@ class TestSynthesize:
             synth.for_ell([1.0, 0.0])
         trivial = synth.for_ell([0.0, 1.0])
         assert trivial.sigma == 0.0
+
+    def test_inestimable_functional_has_no_error_bound(self):
+        # same system: no observer exists for x1, so no guaranteed error
+        # (and no finite-horizon bound) may be reported for it either
+        obs = ObservedDae(np.diag([1.0, 0.0]),
+                          np.array([[0.0, 1.0], [0.0, 0.0]]),
+                          np.array([[1.0, 0.0]]))
+        synth = synthesize_estimator(obs, np.eye(2), np.eye(2), np.eye(1))
+        with pytest.raises(InestimableError):
+            synth.worst_case_error([1.0, 0.0])
+        with pytest.raises(InestimableError):
+            worst_case_bound(synth, [1.0, 0.0], 20.0)
 
     def test_shared_synthesis_across_functionals(self):
         prob = classical_problem()

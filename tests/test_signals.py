@@ -3,8 +3,8 @@ import pytest
 
 from scipy.integrate import trapezoid
 
-from daeobs import InputError, SampledSignal, uniform_grid
-from daeobs.signals import integrate_lti, simpson
+from daeobs import InputError
+from daeobs.signals import SampledSignal, integrate_lti, simpson, uniform_grid
 
 from .oracles import rk4_loop
 

@@ -5,23 +5,25 @@ from daeobs import (
     EstimationProblem,
     LqWeights,
     ObservedDae,
-    SampledSignal,
-    clean_realization,
     construct,
     estimation_experiment,
     finite_horizon_infimum,
-    optimal_cost,
-    run_observer,
     sample_admissible,
     solve_are,
     synthesize,
     synthesize_estimator,
-    uniform_grid,
 )
 from daeobs.fixtures import data_path
 from daeobs.observer import worst_case_bound
 from daeobs.problem_io import load_problem
-from daeobs.simulate import autonomous_system, noise_system
+from daeobs.riccati import optimal_cost
+from daeobs.signals import SampledSignal, uniform_grid
+from daeobs.simulate import (
+    clean_realization,
+    noise_system,
+    run_estimation,
+    run_observer,
+)
 
 from .test_observer import classical_problem
 
@@ -186,6 +188,23 @@ class TestEstimationExperiment:
         estimation_experiment(prob, obsv, real, 2.0)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_inconsistent_initial_state_raises(self, noisy):
+        # est_rank1's consistency space is span(e1), with or without noise:
+        # an initial value of Fx off it admits no trajectory
+        from dataclasses import replace
+        from daeobs import ConsistencyError
+        prob = load_problem(str(data_path("est_rank1.json"))).problem
+        obsv = synthesize(prob)
+        draw = sample_admissible if noisy else clean_realization
+        real = draw(prob, 1.0, seed=0)
+        bad = replace(real, x0=real.x0 + np.array([0.0, 1.0, 0.0]))
+        rec = construct(noise_system(prob, noisy))
+        for record in (None, rec):
+            with pytest.raises(ConsistencyError):
+                run_estimation(prob, obsv, bad, 1.0, record=record)
+        run_estimation(prob, obsv, real, 1.0, record=rec)
+
     def test_observer_of_other_output_rejected(self):
         from daeobs import InputError
         prob = classical_problem()
@@ -208,7 +227,7 @@ class TestEstimationExperiment:
         t1, step = 15.0, 2e-3
         real = clean_realization(prob, t1, seed=0, step=step)
         trace, _ = estimation_experiment(prob, obsv, real, t1)
-        lti = construct(autonomous_system(prob)).lti
+        lti = construct(noise_system(prob, noisy=False)).lti
         n, m = lti.n_hat, obsv.n_hat
         A_aug = np.block([
             [lti.A_l, np.zeros((n, m))],
