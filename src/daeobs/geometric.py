@@ -45,39 +45,45 @@ def _system_scale(cf: CanonicalForm) -> float:
     )
 
 
-def _nested_step(cf: CanonicalForm, Q: np.ndarray, c: int,
-                 rank_tol: float) -> tuple[np.ndarray, int]:
-    """One output-nulling step, searched inside V_k = Im Q[:, :c].
+def _annihilator_levels(cf: CanonicalForm, rank_tol: float):
+    """Grow an orthonormal basis Y of V_k^perp, one level per step.
 
-    With Q = [W, W_perp] orthogonal, V_{k+1} is W times the image of the
-    y-block N_y of the kernel of
-    M = [[W_perp' A_tilde W, W_perp' G], [C_tilde W, D_tilde]].
-    The kernel cut keeps the shape and scale of the unrestricted stack
-    [(I - P_V)[A_tilde, G]; [C_tilde, D_tilde]]; the image cut of N_y is
-    floored at 1, the norm of the orthonormal kernel basis.  N_y is not
-    formed: if [R_y, R_q] is an orthonormal basis of M's row space, the CS
-    decomposition gives N_y and R_q the same singular values short of 1,
-    so the vectors R_y' a, for the left singular vectors a of R_q cut
-    under N_y's threshold, span exactly the lost directions.  That takes
-    an SVD of the k x q block R_q where image_basis(N_y') would take one
-    of a c x c block each step.  Returns (Q', c') with
-    V_{k+1} = Im Q'[:, :c']; Q' = Q when no direction is lost.
+    In dual form the classical iteration reads
+    V_{k+1}^perp = {a : (a, 0) in the row space of [[Y_k' A_tilde, Y_k' G],
+    [C_tilde, D_tilde]]}, and that row space only grows with k.  Its
+    u-projection has rank at most q and is carried by pivot rows (Bx, Bu)
+    with Bu orthonormal; the rows entering at a level (C_tilde, D_tilde
+    first, then Y_new' [A_tilde, G]) are reduced against them, the
+    combinations whose u-part falls under the cut become candidates, and
+    their x-parts, orthogonalized twice against Y, give the new directions.
+    Both cuts keep the shape (r + p) x (r + q) and the scale of the
+    unrestricted stack.  Yields Y after each level that adds a direction.
     """
     r = cf.r
-    W, W_perp = Q[:, :c], Q[:, c:]
     p, q = cf.D_tilde.shape
-    M = np.vstack([np.hstack([W_perp.T @ cf.A_tilde @ W, W_perp.T @ cf.G]),
-                   np.hstack([cf.C_tilde @ W, cf.D_tilde])])
-    _, s, Vt = _svd(M)
-    k = _rank(s, (r + p, r + q), rank_tol, _system_scale(cf))
-    U, s_q, _ = _svd(Vt[:k, c:])
-    kept = _rank(s_q, (c, c + q - k), rank_tol, 1.0)
-    c_next = c - k + kept
-    if c_next in (0, c):
-        return Q, c_next
-    X = np.linalg.qr(Vt[:k, :c].T @ U[:, kept:], mode="complete")[0]
-    lost = c - c_next
-    return np.hstack([W @ X[:, lost:], W @ X[:, :lost], W_perp]), c_next
+    shape, scale = (r + p, r + q), _system_scale(cf)
+    Y = np.zeros((r, 0))
+    Bx, Bu = np.zeros((0, r)), np.zeros((0, q))
+    Rx, Ru = cf.C_tilde, cf.D_tilde
+    while Rx.shape[0] and Y.shape[1] < r:
+        for _ in range(2):
+            coef = Ru @ Bu.T
+            Rx, Ru = Rx - coef @ Bx, Ru - coef @ Bu
+        U, s, Vt = _svd(Ru)
+        k = _rank(s, shape, rank_tol, scale)
+        Bx = np.vstack([Bx, (U[:, :k].T @ Rx) / s[:k, None]])
+        Bu = np.vstack([Bu, Vt[:k]])
+        X = U[:, k:].T @ Rx
+        for _ in range(2):
+            X = X - (X @ Y) @ Y.T
+        _, s, Vt = _svd(X, full=False)
+        t = _rank(s, shape, rank_tol, scale)
+        if t == 0:
+            return
+        Y_new = Vt[:t].T
+        Y = np.hstack([Y, Y_new])
+        yield Y
+        Rx, Ru = Y_new.T @ cf.A_tilde, Y_new.T @ cf.G
 
 
 def weakly_observable_subspace(cf: CanonicalForm,
@@ -85,19 +91,20 @@ def weakly_observable_subspace(cf: CanonicalForm,
     """Largest output-nulling subspace of the auxiliary linear system.
 
     Runs the classical decreasing iteration V_0 = R^r,
-    V_{k+1} = {x : exists q, A_tilde x + G q in V_k, C_tilde x + D_tilde q = 0},
-    each step searching V_{k+1} inside V_k (:func:`_nested_step`), so the
-    iterates are nested by construction and the dimension stops falling
-    within r steps.  The result may be the zero subspace; when no step
-    removes a direction it is R^r with the identity basis.
+    V_{k+1} = {x : exists q, A_tilde x + G q in V_k, C_tilde x + D_tilde q = 0}
+    on the complements (:func:`_annihilator_levels`): each level adds the
+    directions V_k loses, so the iterates are nested by construction and
+    the loop ends within r levels.  V* is the complement of the final Y,
+    from one complete QR; it may be the zero subspace, and when no level
+    adds a direction it is R^r with the identity basis.
     """
-    Q, c = np.eye(cf.r), cf.r
-    while c:
-        Q, c_next = _nested_step(cf, Q, c, rank_tol)
-        if c_next == c:
-            break
-        c = c_next
-    return Subspace(Q[:, :c].copy())
+    Y = np.zeros((cf.r, 0))
+    for Y in _annihilator_levels(cf, rank_tol):
+        pass
+    d = Y.shape[1]
+    if d == 0:
+        return Subspace(np.eye(cf.r))
+    return Subspace(np.linalg.qr(Y, mode="complete")[0][:, d:].copy())
 
 
 def friend(cf: CanonicalForm, V: Subspace,

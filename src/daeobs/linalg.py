@@ -60,12 +60,15 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _svd(M: np.ndarray):
-    """SVD that tolerates empty matrices."""
+def _svd(M: np.ndarray, full: bool = True):
+    """SVD that tolerates empty matrices; ``full=False`` keeps only the
+    min(m, n) leading singular vectors on each side."""
     m, n = M.shape
     if m == 0 or n == 0:
-        return np.eye(m), np.zeros(0), np.eye(n)
-    U, s, Vt = np.linalg.svd(M, full_matrices=True)
+        if full:
+            return np.eye(m), np.zeros(0), np.eye(n)
+        return np.zeros((m, 0)), np.zeros(0), np.zeros((0, n))
+    U, s, Vt = np.linalg.svd(M, full_matrices=full)
     return U, s, Vt
 
 
@@ -94,13 +97,14 @@ def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL,
     as zero instead of being inverted into noise.
     """
     M = as_matrix(M)
-    m, n = M.shape
-    if m == 0 or n == 0:
-        return np.zeros((n, m))
     U, s, Vt = _svd(M)
-    r = _rank(s, M.shape, rank_tol, scale)
+    return _pinv(U, s, Vt, _rank(s, M.shape, rank_tol, scale))
+
+
+def _pinv(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, r: int) -> np.ndarray:
+    """Pseudoinverse read off an SVD (from :func:`_svd`) cut at rank r."""
     if r == 0:
-        return np.zeros((n, m))
+        return np.zeros((Vt.shape[0], U.shape[0]))
     return (Vt[:r].T / s[:r]) @ U[:, :r].T
 
 
@@ -211,6 +215,19 @@ def require_spd(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
+def require_spd_inverse(M, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Validate M as :func:`require_spd` does and return it with its
+    symmetrized inverse, both from one symmetric eigendecomposition."""
+    M = require_symmetric(M, name)
+    if M.shape[0] == 0:
+        return M, np.zeros((0, 0))
+    w, V = np.linalg.eigh(M)
+    if w[0] <= SPD_TOL * max(1.0, w[-1]):
+        raise NotPositiveDefiniteError(f"{name} must be symmetric positive definite")
+    R = (V / np.sqrt(w)) @ V.T
+    return M, symmetrize(R @ R)
+
+
 def require_psd(M, name: str = "matrix") -> np.ndarray:
     M = require_symmetric(M, name)
     if M.shape[0] == 0:
@@ -245,9 +262,3 @@ def inv_sqrt_spd(M, what: str = "matrix") -> np.ndarray:
             f"(smallest eigenvalue {w[0]:.3e})"
         )
     return (V / np.sqrt(w)) @ V.T
-
-
-def inv_spd(M, what: str = "matrix") -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, symmetrized."""
-    R = inv_sqrt_spd(M, what)
-    return symmetrize(R @ R)

@@ -28,10 +28,11 @@ from .geometric import OutputNullingData, output_nulling
 from .linalg import (
     DEFAULT_RANK_TOL,
     Subspace,
+    _pinv,
+    _rank,
+    _svd,
     as_vector,
-    image_basis,
     numerical_rank,
-    pseudoinverse,
 )
 from .signals import SampledSignal, integrate_lti
 
@@ -130,18 +131,21 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData,
 
     E = sys.E
     ECs = E @ C_s
-    Lambda = pseudoinverse(ECs, rank_tol)
+    # Lambda, the rank check and X all come from one SVD of E C_s.
+    U, s, Vt = _svd(ECs)
+    rank = _rank(s, ECs.shape, rank_tol)
+    Lambda = _pinv(U, s, Vt, rank)
     checks = {
         "E_Ds": require("E D_s = 0", np.linalg.norm(E @ D_s),
                         IDENTITY_TOL * (1.0 + float(np.linalg.norm(E)))),
         "rank_ECs_equals_n_hat": require(
-            "rank(E C_s) = n_hat", n_hat - numerical_rank(ECs, rank_tol), 0),
+            "rank(E C_s) = n_hat", n_hat - rank, 0),
         "Lambda_ECs_minus_I": require(
             "Lambda (E C_s) = I", np.linalg.norm(Lambda @ ECs - np.eye(n_hat)),
             IDENTITY_TOL * 2.0),
     }
     require("rank(D_l) = k", k - numerical_rank(D_l, rank_tol), 0)
-    X = image_basis(ECs, rank_tol)
+    X = Subspace(U[:, :rank].copy())
 
     lti = AssociatedLti(
         A_l=A_l, B_l=B_l, C_l=C_l, D_l=D_l,

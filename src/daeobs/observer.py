@@ -31,12 +31,13 @@ from .dae import ObservedDae, dual_dae
 from .errors import InestimableError, InputError, NotStabilizableError
 from .linalg import (
     DEFAULT_RANK_TOL,
+    _pinv,
+    _rank,
+    _svd,
     as_matrix,
     as_vector,
-    inv_spd,
-    kernel_basis,
-    pseudoinverse,
     require_spd,
+    require_spd_inverse,
     symmetrize,
 )
 from .lti import ConstructionRecord, construct
@@ -126,13 +127,15 @@ def q0_bar(F, Q0, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     positive semidefinite, and w^T Q0_bar w is that constrained minimum.
     """
     F = as_matrix(F, "F")
-    Q0 = require_spd(Q0, "Q0")
+    Q0, Q0inv = require_spd_inverse(Q0, "Q0")
     n = F.shape[0]
     if F.shape != (n, n) or Q0.shape[0] != n:
         raise InputError("F must be square and Q0 of matching size")
-    Ftp = pseudoinverse(F.T, rank_tol)
-    Q0inv = inv_spd(Q0, "Q0")
-    U = kernel_basis(F.T, rank_tol).basis
+    # F^T+ and ker F^T from one SVD (kernel_basis treats F = 0 as all of R^n).
+    Us, s, Vt = _svd(F.T)
+    rank = _rank(s, F.shape, rank_tol)
+    Ftp = _pinv(Us, s, Vt, rank)
+    U = Vt[rank:].T.copy() if np.any(F) else np.eye(n)
     D = Ftp
     if U.shape[1]:
         D = Ftp - U @ np.linalg.solve(U.T @ Q0inv @ U, U.T @ Q0inv @ Ftp)
@@ -200,8 +203,8 @@ def synthesize_estimator(obs: ObservedDae, Q0, Q, R,
     reduction of the adjoint system; every choice yields the same sigma.
     """
     Q0 = require_spd(Q0, "Q0")
-    Q = require_spd(Q, "Q")
-    R = require_spd(R, "R")
+    Q, Q_inv = require_spd_inverse(Q, "Q")
+    R, R_inv = require_spd_inverse(R, "R")
     if Q0.shape[0] != obs.n or Q.shape[0] != obs.n or R.shape[0] != obs.p:
         raise InputError("weight sizes do not match the observed system")
     adj = dual_dae(obs)
@@ -213,7 +216,7 @@ def synthesize_estimator(obs: ObservedDae, Q0, Q, R,
         if not E_match:
             raise InputError("dual_record was not built from the adjoint system")
     lti = rec.lti
-    weights = LqWeights(Q=inv_spd(Q, "Q"), R=inv_spd(R, "R"),
+    weights = LqWeights(Q=Q_inv, R=R_inv,
                         Q0=q0_bar(obs.F, Q0, rank_tol))
     try:
         ricc = solve_are(lti, weights, are_tol)

@@ -70,8 +70,45 @@ def vstar_loop(cf, rank_tol: float = 1e-10):
     raise RuntimeError("output-nulling iteration failed to stabilize within r steps")
 
 
+def nested_step(cf, Q, c: int, rank_tol: float = 1e-10):
+    """One classical output-nulling step, searched inside V_k = Im Q[:, :c].
+
+    With Q = [W, W_perp] orthogonal, V_{k+1} is W times the image of the
+    y-block N_y of the kernel of
+    M = [[W_perp' A_tilde W, W_perp' G], [C_tilde W, D_tilde]].
+    The kernel cut keeps the shape and scale of the unrestricted stack
+    [(I - P_V)[A_tilde, G]; [C_tilde, D_tilde]]; the image cut of N_y is
+    floored at 1, the norm of the orthonormal kernel basis.  N_y is not
+    formed: if [R_y, R_q] is an orthonormal basis of M's row space, the CS
+    decomposition gives N_y and R_q the same singular values short of 1,
+    so the vectors R_y' a, for the left singular vectors a of R_q cut
+    under N_y's threshold, span exactly the lost directions.  Returns
+    (Q', c') with V_{k+1} = Im Q'[:, :c']; Q' = Q when no direction is
+    lost.  One SVD of an (r - c + p) x (c + q) block per step, so a chain
+    that loses one direction per step costs O(r^4) in total.
+    """
+    from daeobs.geometric import _system_scale
+    from daeobs.linalg import _rank, _svd
+
+    r = cf.r
+    W, W_perp = Q[:, :c], Q[:, c:]
+    p, q = cf.D_tilde.shape
+    M = np.vstack([np.hstack([W_perp.T @ cf.A_tilde @ W, W_perp.T @ cf.G]),
+                   np.hstack([cf.C_tilde @ W, cf.D_tilde])])
+    _, s, Vt = _svd(M)
+    k = _rank(s, (r + p, r + q), rank_tol, _system_scale(cf))
+    U, s_q, _ = _svd(Vt[:k, c:])
+    kept = _rank(s_q, (c, c + q - k), rank_tol, 1.0)
+    c_next = c - k + kept
+    if c_next in (0, c):
+        return Q, c_next
+    X = np.linalg.qr(Vt[:k, :c].T @ U[:, kept:], mode="complete")[0]
+    lost = c - c_next
+    return np.hstack([W @ X[:, lost:], W @ X[:, :lost], W_perp]), c_next
+
+
 def nested_step_direct(cf, Q, c: int, rank_tol: float = 1e-10):
-    """Reference for ``geometric._nested_step`` that forms the kernel: the
+    """Reference for :func:`nested_step` that forms the kernel: the
     x-block image (cut floored at 1) of the kernel of
     [[W_perp' A_tilde W, W_perp' G], [C_tilde W, D_tilde]], W = Q[:, :c].
     Returns an orthonormal basis of V_{k+1} in R^r."""

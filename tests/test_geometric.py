@@ -3,7 +3,7 @@ import pytest
 
 from daeobs import DaeSystem, InternalConsistencyError, construct
 from daeobs.geometric import (
-    _nested_step,
+    _annihilator_levels,
     friend,
     input_kernel_matrix,
     output_nulling,
@@ -14,6 +14,7 @@ from .conftest import cf_from_blocks, random_dae
 from .oracles import (
     bounded_zeroing_lower_bound,
     friend_zeroing,
+    nested_step,
     nested_step_direct,
     vstar_loop,
 )
@@ -104,17 +105,11 @@ class TestWeaklyObservableSubspace:
             sys = random_dae(rng, 4, int(rng.integers(0, 2)), int(rng.integers(1, 5)))
             from daeobs.dae import canonical_form
             cf = canonical_form(sys)
-            Q, c = np.eye(cf.r), cf.r
-            dims = [c]
-            for _ in range(cf.r + 1):
-                Q, c_next = _nested_step(cf, Q, c, 1e-10)
-                dims.append(c_next)
-                if c_next == c:
-                    break
-                c = c_next
-            assert all(a >= b for a, b in zip(dims, dims[1:]))
-            assert dims[-1] == dims[-2]
-            assert len(dims) - 1 <= cf.r + 1
+            dims = [cf.r] + [cf.r - Y.shape[1]
+                             for Y in _annihilator_levels(cf, 1e-10)]
+            assert all(a > b >= 0 for a, b in zip(dims, dims[1:]))
+            assert len(dims) - 1 <= cf.r
+            assert dims[-1] == weakly_observable_subspace(cf).dim
 
     def test_structured_draws_build_and_match_reference(self):
         """Sparse A and B in the coordinates of E = Q1 diag(I_r, 0) Q2 give
@@ -135,7 +130,7 @@ class TestWeaklyObservableSubspace:
         assert compared >= 1800
 
     def test_step_matches_the_kernel_image(self):
-        """_nested_step reads the lost directions off M's row space; it
+        """nested_step reads the lost directions off M's row space; it
         must give the subspace that the kernel's y-block image gives."""
         rng = np.random.default_rng(2)
         steps = 0
@@ -144,7 +139,7 @@ class TestWeaklyObservableSubspace:
             Q, c = np.eye(cf.r), cf.r
             while c:
                 ref = nested_step_direct(cf, Q, c)
-                Q, c_next = _nested_step(cf, Q, c, 1e-10)
+                Q, c_next = nested_step(cf, Q, c, 1e-10)
                 assert c_next == ref.shape[1]
                 W = Q[:, :c_next]
                 np.testing.assert_allclose(W @ W.T, ref @ ref.T, atol=1e-8)
@@ -153,6 +148,85 @@ class TestWeaklyObservableSubspace:
                     break
                 c = c_next
         assert steps >= 400
+
+    def test_levels_match_the_classical_iterates(self):
+        """After each level, the complement of Y is the classical iterate
+        V_{k+1} computed from the previous level's V_k, and no classical
+        step shrinks the final complement."""
+        rng = np.random.default_rng(2)
+        shrinking = 0
+        for _ in range(300):
+            cf = construct(structured_draw(rng)).cf
+            r = cf.r
+            Q, c = np.eye(r), r
+            for Y in _annihilator_levels(cf, 1e-10):
+                ref = nested_step_direct(cf, Q, c)
+                c = r - Y.shape[1]
+                assert ref.shape[1] == c
+                np.testing.assert_allclose(np.eye(r) - Y @ Y.T, ref @ ref.T,
+                                           atol=1e-8)
+                Qy = np.linalg.qr(Y, mode="complete")[0]
+                Q = np.hstack([Qy[:, r - c:], Qy[:, :r - c]])
+                shrinking += 1
+            if c:
+                assert nested_step_direct(cf, Q, c).shape[1] == c
+        assert shrinking >= 150
+
+
+def shift_chain(r: int, hidden: bool = False) -> DaeSystem:
+    """E = diag(I_r, 0), A_tilde = -I + the lower shift, C_tilde = e_r and
+    no input that reaches the chain: each V* level finds one direction.
+    ``hidden`` appends an uncoupled, unobserved state x' = -x."""
+    d = r + int(hidden)
+    A = np.zeros((d + 1, d + 1))
+    A[np.arange(1, r), np.arange(r - 1)] = 1.0
+    A[np.arange(d), np.arange(d)] = -1.0
+    A[d, r - 1] = 1.0
+    E = np.diag(np.r_[np.ones(d), 0.0])
+    return DaeSystem(E, A, np.zeros((d + 1, 1)))
+
+
+class TestChainCost:
+    """The shift chain is the worst case of the V* iteration: r levels of
+    one direction each.  Every SVD the iteration takes must stay thin (one
+    side at most max(p, q)), which is what keeps the chain O(r^3)."""
+
+    @staticmethod
+    def _levels_and_shapes(sys, monkeypatch):
+        from daeobs import geometric
+        from daeobs.dae import canonical_form
+        cf = canonical_form(sys)
+        shapes = []
+
+        def svd(M, *args, **kwargs):
+            shapes.append(M.shape)
+            return _svd(M, *args, **kwargs)
+
+        _svd = geometric._svd
+        monkeypatch.setattr(geometric, "_svd", svd)
+        levels = sum(1 for _ in _annihilator_levels(cf, 1e-10))
+        V = weakly_observable_subspace(cf)
+        p, q = cf.D_tilde.shape
+        assert shapes and all(min(shape) <= max(p, q) for shape in shapes)
+        return levels, V
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_chain_runs_r_thin_levels(self, rotated, monkeypatch):
+        sys = shift_chain(80)
+        if rotated:
+            rng = np.random.default_rng(7)
+            S, T = (np.linalg.qr(rng.standard_normal((sys.n, sys.n)))[0]
+                    for _ in range(2))
+            sys = DaeSystem(S @ sys.E @ T, S @ sys.A_hat @ T, S @ sys.B_hat)
+        levels, V = self._levels_and_shapes(sys, monkeypatch)
+        assert V.dim == 0
+        assert levels == 80
+
+    def test_hidden_state_survives(self, monkeypatch):
+        levels, V = self._levels_and_shapes(shift_chain(80, hidden=True),
+                                            monkeypatch)
+        assert V.dim == 1
+        assert levels == 80
 
 
 class TestSimulationOracle:
