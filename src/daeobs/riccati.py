@@ -10,8 +10,11 @@ solve the algebraic Riccati equation
 
 The solver pre-transforms to a standard problem with feedback
 F_hat = -(D^T S D)^{-1} D^T S C and input scaling (D^T S D)^{-1/2}, solves
-it by an ordered Schur decomposition of the Hamiltonian, and polishes the
-result with Newton-Kleinman steps until the residual passes tolerance.
+it by structure-preserving doubling (a Cayley transform of the Hamiltonian
+pencil, then doubling steps of n x n LU and matrix products only), and
+polishes the result with Newton-Kleinman steps until the residual passes
+tolerance.  A non-finite iterate or a Newton step whose Lyapunov solve
+LAPACK had to perturb ends the solve with InternalConsistencyError.
 Stabilizability of (A_l, B_l) is the only existence condition; the solve
 checks it itself before anything else (an ordered real Schur form splits
 off the safely stable modes, a controllability staircase tests the rest),
@@ -30,10 +33,12 @@ B_c = Lambda, which satisfies B_c E C_x = I.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
+from scipy.linalg.lapack import dgetrf, dgetri
 
 from .errors import (
     IDENTITY_TOL,
@@ -60,6 +65,12 @@ PBH_EIG_MARGIN = 1e-9
 # Relative rank cut of the controllability staircase in is_stabilizable.
 STAIRCASE_RANK_TOL = 1e-9
 MAX_REFINE = 25
+# Doubling: stop at ||dH||_1 <= SDA_TOL ||H||_1 or after SDA_MAX_STEPS; a
+# Cayley shift leaving an LU pivot ratio <= SHIFT_PIVOT_RATIO is doubled.
+SDA_TOL = 1e-14
+SDA_MAX_STEPS = 60
+SHIFT_PIVOT_RATIO = 1e-12
+SHIFT_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -202,33 +213,32 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
         Cq = C + D @ F_hat
         Q_bar = symmetrize(Cq.T @ S @ Cq)
 
-        H = np.zeros((2 * n, 2 * n))
-        H[:n, :n] = A_bar
-        H[:n, n:] = -G
-        H[n:, :n] = -Q_bar
-        H[n:, n:] = -A_bar.T
-        _, Z, sdim = schur(H, output="real", sort="lhp")
-        if sdim != n:
-            raise InternalConsistencyError(
-                f"Hamiltonian stable invariant subspace has dimension {sdim}, "
-                f"expected {n} (eigenvalues too close to the imaginary axis)"
-            )
-        U11 = Z[:n, :n]
-        U21 = Z[n:, :n]
-        P = symmetrize(np.linalg.solve(U11.T, U21.T).T)
-
-        for _ in range(MAX_REFINE):
-            K = Winv @ (B.T @ P + D.T @ S @ C)
-            res_mat = P @ A + A.T @ P - K.T @ W @ K + CSC
-            residual = float(np.linalg.norm(res_mat))
-            if residual <= are_tol * (1.0 + float(np.linalg.norm(P))):
-                break
-            A_cl = A - B @ K
-            P = symmetrize(solve_continuous_lyapunov(A_cl.T, -(Q_bar + P @ G @ P)))
-        else:
-            raise InternalConsistencyError(
-                f"Riccati refinement stalled at residual {residual:.3e}"
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = _doubling(A_bar, G, Q_bar)
+            for _ in range(MAX_REFINE):
+                K = Winv @ (B.T @ P + D.T @ S @ C)
+                res_mat = P @ A + A.T @ P - K.T @ W @ K + CSC
+                residual = float(np.linalg.norm(res_mat))
+                P_norm = float(np.linalg.norm(P))
+                if not np.isfinite(residual + P_norm):
+                    raise InternalConsistencyError(
+                        "Riccati refinement diverged to a non-finite P or residual")
+                if residual <= are_tol * (1.0 + P_norm):
+                    break
+                # a Lyapunov solve LAPACK had to perturb (two eigenvalues of
+                # A - B K summing to about 0) cannot continue the iteration
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    try:
+                        P = symmetrize(solve_continuous_lyapunov(
+                            (A - B @ K).T, -(Q_bar + P @ G @ P)))
+                    except (RuntimeWarning, ValueError) as exc:
+                        raise InternalConsistencyError(
+                            f"Riccati refinement: Newton step failed: {exc}") from exc
+            else:
+                raise InternalConsistencyError(
+                    f"Riccati refinement stalled at residual {residual:.3e}"
+                )
 
     P_tol = are_tol * (1.0 + float(np.linalg.norm(P)))
     checks = {"are_residual": require("Riccati residual", residual, P_tol)}
@@ -241,6 +251,58 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
     checks["closed_loop_max_real_part"] = (max_re, 0.0)
     require("P >= 0", -np.linalg.eigvalsh(P)[0], P_tol)
     return RiccatiSolution(P, K, residual, spectrum, checks)
+
+
+def _lu_inverse(M, min_pivot_ratio: float):
+    """M^{-1} by dgetrf/dgetri, or None (not a warning) unless the smallest
+    LU pivot exceeds min_pivot_ratio times the largest."""
+    lu, piv, _ = dgetrf(M)
+    pivots = np.abs(np.diag(lu))
+    return dgetri(lu, piv)[0] if pivots.min() > min_pivot_ratio * pivots.max() else None
+
+
+def _doubling(A, G, Q) -> np.ndarray:
+    """Stabilizing solution X of A'X + XA - XGX + Q = 0 by the
+    structure-preserving doubling algorithm (Chu, Fan & Lin 2005).
+
+    The Cayley transform with shift gamma > 0 maps the stable eigenvalues
+    of the Hamiltonian [[A, -G], [-Q, -A']] into the unit disk and writes
+    its pencil in the standard symplectic form (E, G, H).  Each doubling
+    step squares those eigenvalues, so E -> 0 and H -> X quadratically;
+    it stops when ||dH||_1 <= SDA_TOL ||H||_1 or after SDA_MAX_STEPS.  A
+    shift at which A - gamma I or K = (A - gamma I)' + Q (A - gamma I)^{-1} G
+    has an LU pivot below SHIFT_PIVOT_RATIO of its largest is doubled.
+    """
+    I = np.eye(A.shape[0])
+    gamma = max(float(np.linalg.norm(A)),
+                float(np.sqrt(np.linalg.norm(G) * np.linalg.norm(Q))))
+    for _ in range(SHIFT_RETRIES):
+        Ai = _lu_inverse(A - gamma * I, SHIFT_PIVOT_RATIO)
+        Ki = None if Ai is None else _lu_inverse(
+            A.T - gamma * I + Q @ Ai @ G, SHIFT_PIVOT_RATIO)
+        if Ki is not None:
+            break
+        gamma *= 2.0
+    else:
+        raise InternalConsistencyError(
+            f"no usable Cayley shift for the Riccati doubling in {SHIFT_RETRIES} "
+            f"tries (A - gamma I or K_gamma near singular)")
+    E = I + 2.0 * gamma * Ki.T
+    G = symmetrize(2.0 * gamma * Ki.T @ G @ Ai.T)
+    H = symmetrize(2.0 * gamma * Ki @ Q @ Ai)
+    for _ in range(SDA_MAX_STEPS):
+        Mi = _lu_inverse(I + G @ H, 0.0)
+        if Mi is None:
+            raise InternalConsistencyError(
+                "Riccati doubling met a singular or non-finite I + G H")
+        MiE = Mi @ E
+        dH = symmetrize(E.T @ (H @ MiE))
+        G = symmetrize(G + E @ (Mi @ G) @ E.T)
+        E = E @ MiE
+        H = H + dH
+        if np.linalg.norm(dH, 1) <= SDA_TOL * np.linalg.norm(H, 1):
+            break
+    return H
 
 
 def solve_are(lti: AssociatedLti, w: LqWeights,

@@ -147,6 +147,30 @@ def pbh_stabilizable(A, B, rank_tol: float = 1e-9, margin: float = 1e-9) -> bool
     return True
 
 
+def hamiltonian_schur_are(A, B, C, D, S) -> np.ndarray:
+    """Reference stabilizing Riccati solution by Laub's (1979) Schur
+    method, without refinement: pre-transform with
+    F = -(D'SD)^{-1} D'SC, take the ordered real Schur form of the 2n x 2n
+    Hamiltonian [[A_bar, -G], [-Q_bar, -A_bar']] with its n stable
+    eigenvalues first, and return P = U21 U11^{-1} of their basis."""
+    from scipy.linalg import schur
+
+    A, B, C, D, S = (np.asarray(M, dtype=float) for M in (A, B, C, D, S))
+    n = A.shape[0]
+    W = D.T @ S @ D
+    F = -np.linalg.solve(W, D.T @ S @ C)
+    A_bar = A + B @ F
+    G = B @ np.linalg.solve(W, B.T)
+    Cq = C + D @ F
+    Q_bar = Cq.T @ S @ Cq
+    H = np.block([[A_bar, -0.5 * (G + G.T)], [-0.5 * (Q_bar + Q_bar.T), -A_bar.T]])
+    _, Z, sdim = schur(H, output="real", sort="lhp")
+    if sdim != n:
+        raise ValueError(f"Hamiltonian has {sdim} stable eigenvalues, expected {n}")
+    P = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
+    return 0.5 * (P + P.T)
+
+
 def penrose_defects(M: np.ndarray, Mp: np.ndarray) -> dict[str, float]:
     """Residuals of the four Moore-Penrose identities."""
     return {

@@ -117,8 +117,9 @@ def test_every_golden_check_is_ok(name):
 # zero singular values across the rank cut 1e-10 * sigma_max * n.
 EPS_SWEEP = (1e-10, 2e-10, 3.5e-10, 5e-10, 1e-9, 3e-9, 5e-9, 1e-8)
 # est_rank1's shifted adjoint is Hurwitz with modes {-0.75, -1e9, -2e9} and
-# ||B_l|| = 1e9; at these shifts roundoff in the unscaled Hamiltonian Schur
-# solve (wrong stable dimension, or a stalled Newton polish) may fail it.
+# ||B_l|| = 1e9; at these shifts the Newton polish stalls at residuals of
+# 2e-8 to 5e-8 against are_tol (1 + ||P||) = 1.6e-8, the size of the
+# roundoff in P A_l at ||A_l|| = 5e9: the gate is not scale invariant.
 EST_RANK1_INTERNAL = (3.5e-10, 5e-10, 1e-9, 3e-9)
 
 
@@ -142,7 +143,7 @@ def _shifted(loaded, eps):
 def test_descriptor_shift_keeps_the_outcome_class(problem, eps):
     """Never "not stabilizable" for a Hurwitz A_l; an estimation success
     keeps the unshifted sigma; the only internal failures allowed are the
-    est_rank1 Hamiltonian ones."""
+    est_rank1 polish stalls."""
     loaded = load_problem(str(data_path(problem)))
     A_l, run = _shifted(loaded, eps)
     hurwitz = A_l.size == 0 or float(np.max(np.linalg.eigvals(A_l).real)) < 0

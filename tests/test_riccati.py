@@ -10,15 +10,18 @@ from daeobs import (
     InternalConsistencyError,
     LqWeights,
     NotStabilizableError,
+    ObservedDae,
     assemble_controller,
     construct,
+    riccati,
     solve_are,
 )
+from daeobs.dae import dual_dae
 from daeobs.riccati import is_stabilizable, optimal_cost, solve_are_blocks
 from daeobs.signals import SampledSignal, uniform_grid
 
-from .conftest import random_spd
-from .oracles import evaluate_cost, pbh_stabilizable
+from .conftest import random_dae, random_spd
+from .oracles import evaluate_cost, hamiltonian_schur_are, pbh_stabilizable
 
 
 @st.composite
@@ -220,6 +223,94 @@ class TestSolveAre:
         resid = rs.P @ A + A.T @ rs.P + lti.C_l.T @ w.S() @ lti.C_l
         assert np.linalg.norm(resid) <= 1e-9
         assert np.linalg.eigvalsh(rs.P)[0] > 0.0
+
+
+def ladder_blocks(kind: str, n_hat: int, seed: int):
+    """Riccati blocks (A_l, B_l, C_l, D_l, S) shaped like the benchmark's
+    synthesis rungs: the adjoint of an observed DAE with F of full rank
+    and p = n/4 outputs, or a control DAE with rank E = n_hat and
+    m = n/4 inputs; S is random SPD on the running-cost output."""
+    rng = np.random.default_rng([seed, n_hat])
+    if kind == "observer":
+        n = n_hat
+        sys = random_dae(rng, n, n // 4, n)
+        sys = dual_dae(ObservedDae(sys.E, sys.A_hat, sys.B_hat.T.copy()))
+    else:
+        n = n_hat + n_hat // 4
+        sys = random_dae(rng, n, n // 4, n_hat)
+    lti = construct(sys).lti
+    assert lti.n_hat == n_hat
+    S = block_diag(random_spd(rng, n), random_spd(rng, sys.m))
+    return lti.A_l, lti.B_l, lti.C_l, lti.D_l, S
+
+
+class TestDoubling:
+    """The structure-preserving doubling solve against the Hamiltonian
+    Schur method it replaced, its Cayley-shift guard, its cost, and the
+    typed end of a refinement that cannot succeed."""
+
+    @pytest.mark.parametrize("kind", ["observer", "lq"])
+    @pytest.mark.parametrize("n_hat", [10, 40, 160])
+    def test_matches_hamiltonian_schur(self, kind, n_hat):
+        blocks = ladder_blocks(kind, n_hat, 1)
+        P = solve_are_blocks(*blocks).P
+        P_ref = hamiltonian_schur_are(*blocks)
+        assert np.linalg.norm(P - P_ref) <= 1e-10 * np.linalg.norm(P_ref)
+
+    def test_shift_on_an_eigenvalue_is_doubled(self, monkeypatch):
+        # A_bar = diag(3, 0): the first shift ||A_bar||_F = 3 is one of its
+        # eigenvalues, so A_bar - 3 I is exactly singular
+        factored = []
+
+        def dgetrf(M, *args, **kwargs):
+            factored.append(M.copy())
+            return real(M, *args, **kwargs)
+
+        real = riccati.dgetrf
+        monkeypatch.setattr(riccati, "dgetrf", dgetrf)
+        blocks = (np.diag([3.0, 0.0]), np.eye(2),
+                  np.vstack([np.eye(2), np.zeros((2, 2))]),
+                  np.vstack([np.zeros((2, 2)), np.eye(2)]),
+                  np.diag([0.1, 0.1, 1.0, 1.0]))
+        rs = solve_are_blocks(*blocks)
+        np.testing.assert_array_equal(factored[0], np.diag([0.0, -3.0]))
+        P_ref = hamiltonian_schur_are(*blocks)
+        assert np.linalg.norm(rs.P - P_ref) <= 1e-10 * np.linalg.norm(P_ref)
+
+    def test_no_usable_shift_is_typed(self):
+        # A_bar = 0 and no state cost: every Hamiltonian eigenvalue is 0,
+        # no stabilizing solution exists and every shift is 0
+        with pytest.raises(InternalConsistencyError, match="Cayley shift"):
+            solve_are_blocks(np.zeros((1, 1)), np.eye(1), np.zeros((2, 1)),
+                             np.array([[0.0], [1.0]]), np.eye(2))
+
+    def test_factors_nothing_larger_than_n_hat(self, monkeypatch):
+        shapes = []
+
+        def recording(fn):
+            def wrapped(M, *args, **kwargs):
+                shapes.append(np.shape(M))
+                return fn(M, *args, **kwargs)
+            return wrapped
+
+        for name in ("schur", "dgetrf", "dgetri", "solve_continuous_lyapunov"):
+            monkeypatch.setattr(riccati, name, recording(getattr(riccati, name)))
+        for name in ("solve", "inv", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        blocks = ladder_blocks("observer", 40, 2)
+        solve_are_blocks(*blocks)
+        assert (40, 40) in shapes
+        assert max(max(shape) for shape in shapes) == 40
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_few_inputs_end_typed(self):
+        # n = 160, m = 4, rank E = 120 with identity weights: the Newton
+        # refinement meets a Lyapunov equation LAPACK has to perturb
+        sys = random_dae(np.random.default_rng(0), 160, 4, 120)
+        lti = construct(sys).lti
+        w = LqWeights(np.eye(160), np.eye(4), np.eye(160))
+        with pytest.raises(InternalConsistencyError):
+            solve_are(lti, w)
 
 
 class TestController:
