@@ -8,7 +8,8 @@ associated-lti        the reduced linear system, consistency space and checks
 simulate              clean or noisy estimation runs, CSV traces + summary
 check-equivalence     randomized build pairs and their equivalence defects
 
-Exit codes: 0 success; 1 problem-file or option errors; 2 the associated
+Exit codes: 0 success; 1 problem-file or option errors, usage errors
+included (argparse's usage and message go to stderr); 2 the associated
 linear system is not stabilizable; 3 the functional is not estimable;
 12 an internal consistency check failed; 13 unexpected failure.  All
 outputs are deterministic under fixed seed and flags.
@@ -17,6 +18,7 @@ outputs are deterministic under fixed seed and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields, replace
@@ -265,7 +267,9 @@ def _cmd_check_equivalence(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="daeobs",
         description="Minimax observers and LQ controllers for linear DAEs",
@@ -323,9 +327,11 @@ _ERROR_EXITS = (
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # from argparse: --help exits 0, a usage error 2
+        return EXIT_INPUT if exc.code else EXIT_OK
     except Exception as exc:
         for cls, code, prefix in _ERROR_EXITS:
             if isinstance(exc, cls):

@@ -40,6 +40,8 @@ from .simulate import DEFAULT_STEP
 
 ESTIMATION_MATRICES = ("F", "A", "H", "Q", "R", "Q0", "ell")
 CONTROL_MATRICES = ("E", "A_hat", "B_hat", "Q", "R", "Q0")
+# Rows of a CSV trace formatted and written at a time; bounds the text held.
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,8 @@ def write_report(path: str, report: dict):
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]):
-    """Write float columns with fixed '%.12e' formatting and LF endings."""
+    """Write float columns with fixed '%.12e' formatting and LF endings,
+    CSV_BLOCK_ROWS rows per '%' on the repeated row template and per write."""
     if not columns:
         raise InputError("no columns to write")
     length = len(columns[0])
@@ -234,7 +237,10 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]):
         raise InputError("CSV columns must have equal length")
     if len(header) != len(columns):
         raise InputError("header does not match column count")
+    table = np.column_stack(columns).astype(float, copy=False)
+    row = ",".join(["%.12e"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(length):
-            fh.write(",".join("%.12e" % float(c[i]) for c in columns) + "\n")
+        for start in range(0, length, CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))

@@ -457,3 +457,12 @@ def observer_kernel(obsv, t: float, s: float) -> np.ndarray:
     if obsv.n_hat == 0:
         return np.zeros(obsv.p)
     return np.asarray(obsv.C_o @ expm(obsv.A_o * (t - s)) @ obsv.B_o).ravel()
+
+
+def csv_rows_loop(header, columns) -> bytes:
+    """Reference CSV bytes: one '%.12e' per value and one join per row, the
+    way ``problem_io.write_csv`` formatted a trace row by row."""
+    lines = [",".join(header) + "\n"]
+    for i in range(len(columns[0])):
+        lines.append(",".join("%.12e" % float(c[i]) for c in columns) + "\n")
+    return "".join(lines).encode("utf-8")

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
+import pytest
 
-from daeobs import lti
+from daeobs import cli, lti
 from daeobs.cli import main
 from daeobs.fixtures import data_path
+from daeobs.problem_io import load_problem
 
 
 def run_cli(argv):
@@ -267,3 +271,61 @@ class TestDeterminism:
         s1 = json.loads((dirs[0] / "summary.json").read_text())
         s2 = json.loads((dirs[1] / "summary.json").read_text())
         assert s1 == s2
+
+
+class TestParser:
+    """The parser is built once per process; no call may leave state in it."""
+
+    COMMANDS = ("synthesize-observer", "solve-lq", "associated-lti",
+                "simulate", "check-equivalence")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve-lq", "x.json"], "the following arguments are required"),
+        (["solve-lq", "x.json", "-o", "r.json", "--rank-tol", "abc"],
+         "invalid float value: 'abc'"),
+        (["no-such-command"], "invalid choice"),
+    ])
+    def test_usage_error_exits_1(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: daeobs")
+        assert message in err
+
+    def test_usage_errors_back_to_back(self, capsys):
+        assert main(["simulate", "x.json"]) == 1
+        assert main(["solve-lq", "x.json", "--seed", "1.5"]) == 1
+        assert capsys.readouterr().err.count("usage:") == 2
+
+    @pytest.mark.parametrize("command", (None,) + COMMANDS)
+    def test_help_matches_a_fresh_parser(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command is None else [command, "--help"]
+        main(["solve-lq", "x.json"])  # a usage error first
+        capsys.readouterr()
+        assert main(argv) == 0
+        got = capsys.readouterr().out
+        fresh = cli._build_parser.__wrapped__()
+        with contextlib.redirect_stdout(io.StringIO()) as buf, \
+                pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        assert got == buf.getvalue()
+
+    def test_simulate_mode_does_not_carry_over(self, tmp_path):
+        noisy, clean = tmp_path / "noisy", tmp_path / "clean"
+        common = ["--horizon", "2", "--step", "0.01"]
+        assert run_cli(["simulate", data_path("est_rank1.json"), "--noisy",
+                        "--runs", "2", "--output-dir", noisy] + common) == 0
+        assert run_cli(["simulate", data_path("est_rank1.json"),
+                        "--output-dir", clean] + common) == 0
+        summary = json.loads((clean / "summary.json").read_text())
+        assert summary["result"]["mode"] == "clean"
+        assert len(summary["result"]["runs"]) == 1
+
+    def test_rank_tol_does_not_carry_over(self, tmp_path):
+        path = data_path("ctrl_ode.json")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli(["solve-lq", path, "-o", a, "--rank-tol", "1e-6"]) == 0
+        assert run_cli(["solve-lq", path, "-o", b]) == 0
+        assert json.loads(a.read_text())["options"]["rank_tol"] == 1e-6
+        assert json.loads(b.read_text())["options"]["rank_tol"] == \
+            load_problem(str(path)).options.rank_tol

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from daeobs import ProblemFileError
+from daeobs.cli import main
 from daeobs.problem_io import (
+    CSV_BLOCK_ROWS,
     dump_report,
     load_problem,
     matrix_to_json,
     write_csv,
 )
 from daeobs.fixtures import data_path
+
+from .oracles import csv_rows_loop
 
 
 def write_doc(tmp_path, doc, name="problem.json"):
@@ -134,3 +138,50 @@ class TestCsv:
         with pytest.raises(InputError):
             write_csv(str(tmp_path / "x.csv"), ["a", "b"],
                       [np.array([1.0]), np.array([1.0, 2.0])])
+
+    def test_empty_and_header_mismatch(self, tmp_path):
+        from daeobs import InputError
+        with pytest.raises(InputError, match="no columns"):
+            write_csv(str(tmp_path / "x.csv"), [], [])
+        with pytest.raises(InputError, match="header"):
+            write_csv(str(tmp_path / "x.csv"), ["a"],
+                      [np.array([1.0]), np.array([2.0])])
+
+    def test_simulate_traces_match_row_loop(self, tmp_path, monkeypatch):
+        written = []
+
+        def recorded(path, header, columns):
+            written.append((path, header, columns))
+            write_csv(path, header, columns)
+
+        monkeypatch.setattr("daeobs.cli.write_csv", recorded)
+        assert main(["simulate", str(data_path("est_rank1.json")), "--noisy",
+                     "--runs", "2", "--output-dir", str(tmp_path)]) == 0
+        assert len(written) == 2
+        for path, header, columns in written:
+            with open(path, "rb") as fh:
+                assert fh.read() == csv_rows_loop(header, columns)
+
+    def test_extreme_values_match_row_loop(self, tmp_path):
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                   -1.7976931348623157e308, float("nan"), float("inf"),
+                   -float("inf"), 1.0 / 3.0, -2.5e-300, 123456789.0]
+        columns = [np.array(special), np.array(special[::-1]),
+                   np.arange(-6, 6, dtype=np.int64) * 10 ** 17]
+        path = tmp_path / "x.csv"
+        write_csv(str(path), ["a", "b", "i"], columns)
+        assert path.read_bytes() == csv_rows_loop(["a", "b", "i"], columns)
+
+    @pytest.mark.parametrize("length", [
+        0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+        3 * CSV_BLOCK_ROWS + 7])
+    def test_block_edges_match_row_loop(self, tmp_path, length):
+        rng = np.random.default_rng(length)
+        header = ["t", "x", "y"]
+        columns = [np.arange(length) * 1e-3,
+                   rng.standard_normal(length) * 10.0 ** rng.integers(
+                       -300, 300, length),
+                   rng.integers(-1000, 1000, length)]
+        path = tmp_path / "x.csv"
+        write_csv(str(path), header, columns)
+        assert path.read_bytes() == csv_rows_loop(header, columns)
