@@ -11,6 +11,12 @@ is the one place that cut is made.  Subspaces are always stored with
 orthonormal bases (obtained from SVDs), which keeps membership tests well
 conditioned.
 
+Weights are decided the same way: :func:`_require_symmetric` is the one
+symmetry decision (cut at ``SYMMETRY_TOL``), and :func:`require_spd` decides
+definiteness from the one ``eigh`` that also yields the inverse square root
+its callers need; a failure of either raises
+:class:`NotPositiveDefiniteError` naming the matrix.
+
 Everything here is a pure function of its inputs; the returned values are
 treated as immutable.
 """
@@ -194,71 +200,43 @@ def image_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
     return Subspace(U[:, :r].copy())
 
 
-def require_symmetric(M, name: str = "matrix") -> np.ndarray:
+def _require_symmetric(M, name: str) -> np.ndarray:
+    """The package's one symmetry decision: M square and symmetric within
+    SYMMETRY_TOL * (1 + ||M||_F); returns symmetrize(M)."""
     M = as_matrix(M, name)
     if M.shape[0] != M.shape[1]:
         raise InputError(f"{name} must be square, got shape {M.shape}")
     scale = 1.0 + float(np.linalg.norm(M))
     if float(np.linalg.norm(M - M.T)) > SYMMETRY_TOL * scale:
-        raise InputError(f"{name} must be symmetric")
+        raise NotPositiveDefiniteError(f"{name} must be symmetric")
     return symmetrize(M)
 
 
-def require_spd(M, name: str = "matrix") -> np.ndarray:
-    """Validate a symmetric positive definite matrix (0x0 passes)."""
-    M = require_symmetric(M, name)
-    if M.shape[0] == 0:
-        return M
-    w = np.linalg.eigvalsh(M)
-    if w[0] <= SPD_TOL * max(1.0, w[-1]):
-        raise NotPositiveDefiniteError(f"{name} must be symmetric positive definite")
-    return M
+def require_spd(M, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Validate a symmetric positive definite matrix and return it
+    symmetrized together with its inverse square root (V w^{-1/2} V'),
+    both from one symmetric eigendecomposition.
 
-
-def require_spd_inverse(M, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Validate M as :func:`require_spd` does and return it with its
-    symmetrized inverse, both from one symmetric eigendecomposition."""
-    M = require_symmetric(M, name)
+    Raises :class:`NotPositiveDefiniteError`, naming ``name``, when M is
+    not symmetric or has an eigenvalue at or below ``SPD_TOL`` times
+    max(1, the largest).  A 0x0 matrix passes.
+    """
+    M = _require_symmetric(M, name)
     if M.shape[0] == 0:
         return M, np.zeros((0, 0))
     w, V = np.linalg.eigh(M)
     if w[0] <= SPD_TOL * max(1.0, w[-1]):
         raise NotPositiveDefiniteError(f"{name} must be symmetric positive definite")
-    R = (V / np.sqrt(w)) @ V.T
-    return M, symmetrize(R @ R)
+    return M, (V / np.sqrt(w)) @ V.T
 
 
 def require_psd(M, name: str = "matrix") -> np.ndarray:
-    M = require_symmetric(M, name)
+    """Validate a symmetric positive semidefinite matrix: eigenvalues no
+    lower than -PSD_TOL * max(1, |largest|).  A 0x0 matrix passes."""
+    M = _require_symmetric(M, name)
     if M.shape[0] == 0:
         return M
     w = np.linalg.eigvalsh(M)
     if w[0] < -PSD_TOL * max(1.0, abs(w[-1])):
         raise NotPositiveDefiniteError(f"{name} must be positive semidefinite")
     return M
-
-
-def inv_sqrt_spd(M, what: str = "matrix") -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix.
-
-    Computed from the symmetric eigendecomposition.  Raises
-    :class:`NotPositiveDefiniteError` when the input is not symmetric or
-    has an eigenvalue at or below ``SPD_TOL`` times max(1, the largest),
-    naming ``what`` in the message so callers can point at the offending
-    block.
-    """
-    M = as_matrix(M, what)
-    if M.shape[0] != M.shape[1]:
-        raise InputError(f"{what} must be square, got shape {M.shape}")
-    if M.shape[0] == 0:
-        return np.zeros((0, 0))
-    scale = 1.0 + float(np.linalg.norm(M))
-    if float(np.linalg.norm(M - M.T)) > 1e-10 * scale:
-        raise NotPositiveDefiniteError(f"{what} is not symmetric")
-    w, V = np.linalg.eigh(symmetrize(M))
-    if w[0] <= SPD_TOL * max(1.0, w[-1]):
-        raise NotPositiveDefiniteError(
-            f"{what} is singular or not positive definite "
-            f"(smallest eigenvalue {w[0]:.3e})"
-        )
-    return (V / np.sqrt(w)) @ V.T

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from .dae import ObservedDae, dual_dae
 from .errors import InestimableError, InputError, NotStabilizableError
@@ -37,17 +37,15 @@ from .linalg import (
     as_matrix,
     as_vector,
     require_spd,
-    require_spd_inverse,
     symmetrize,
 )
 from .lti import ConstructionRecord, construct
 from .riccati import (
     DEFAULT_ARE_TOL,
     DynamicController,
-    LqWeights,
     RiccatiSolution,
     assemble_controller,
-    solve_are,
+    solve_are_blocks,
 )
 
 
@@ -63,9 +61,9 @@ class EstimationProblem:
 
     def __post_init__(self):
         n, p = self.obs.n, self.obs.p
-        Q0 = require_spd(self.Q0, "Q0")
-        Q = require_spd(self.Q, "Q")
-        R = require_spd(self.R, "R")
+        Q0 = require_spd(self.Q0, "Q0")[0]
+        Q = require_spd(self.Q, "Q")[0]
+        R = require_spd(self.R, "R")[0]
         ell = as_vector(self.ell, "ell")
         if Q0.shape[0] != n or Q.shape[0] != n:
             raise InputError("Q0 and Q must be n x n")
@@ -116,6 +114,13 @@ class Observer:
         return np.linalg.eigvals(self.A_o) if self.A_o.size else np.zeros(0, complex)
 
 
+def _spd_inverse(M, name: str) -> np.ndarray:
+    """M^{-1} of a weight validated by :func:`require_spd`, formed from
+    its inverse square root."""
+    R = require_spd(M, name)[1]
+    return symmetrize(R @ R)
+
+
 def q0_bar(F, Q0, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Terminal weight of the adjoint control problem.
 
@@ -127,9 +132,9 @@ def q0_bar(F, Q0, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     positive semidefinite, and w^T Q0_bar w is that constrained minimum.
     """
     F = as_matrix(F, "F")
-    Q0, Q0inv = require_spd_inverse(Q0, "Q0")
+    Q0inv = _spd_inverse(Q0, "Q0")
     n = F.shape[0]
-    if F.shape != (n, n) or Q0.shape[0] != n:
+    if F.shape != (n, n) or Q0inv.shape[0] != n:
         raise InputError("F must be square and Q0 of matching size")
     # F^T+ and ker F^T from one SVD (kernel_basis treats F = 0 as all of R^n).
     Us, s, Vt = _svd(F.T)
@@ -151,9 +156,8 @@ class ObserverSynthesis:
     """
 
     obs: ObservedDae
-    Q0: np.ndarray
+    Q0_bar: np.ndarray
     dual: ConstructionRecord
-    weights: LqWeights
     ricc: RiccatiSolution
     ctrl: DynamicController
 
@@ -202,10 +206,10 @@ def synthesize_estimator(obs: ObservedDae, Q0, Q, R,
     ``dual_record`` lets callers inject an alternative (e.g. randomized)
     reduction of the adjoint system; every choice yields the same sigma.
     """
-    Q0 = require_spd(Q0, "Q0")
-    Q, Q_inv = require_spd_inverse(Q, "Q")
-    R, R_inv = require_spd_inverse(R, "R")
-    if Q0.shape[0] != obs.n or Q.shape[0] != obs.n or R.shape[0] != obs.p:
+    Q0_bar = q0_bar(obs.F, Q0, rank_tol)
+    Q_inv = _spd_inverse(Q, "Q")
+    R_inv = _spd_inverse(R, "R")
+    if Q_inv.shape[0] != obs.n or R_inv.shape[0] != obs.p:
         raise InputError("weight sizes do not match the observed system")
     adj = dual_dae(obs)
     rec = dual_record if dual_record is not None else construct(adj, rank_tol)
@@ -216,18 +220,17 @@ def synthesize_estimator(obs: ObservedDae, Q0, Q, R,
         if not E_match:
             raise InputError("dual_record was not built from the adjoint system")
     lti = rec.lti
-    weights = LqWeights(Q=Q_inv, R=R_inv,
-                        Q0=q0_bar(obs.F, Q0, rank_tol))
     try:
-        ricc = solve_are(lti, weights, are_tol)
+        ricc = solve_are_blocks(lti.A_l, lti.B_l, lti.C_l, lti.D_l,
+                                block_diag(Q_inv, R_inv), are_tol)
     except NotStabilizableError as exc:
         raise NotStabilizableError(
             "the linear system associated with the adjoint DAE is not "
             "stabilizable (detectability-type existence condition fails)"
         ) from exc
     ctrl = assemble_controller(lti, ricc, adj.E)
-    return ObserverSynthesis(obs=obs, Q0=Q0, dual=rec, weights=weights,
-                             ricc=ricc, ctrl=ctrl)
+    return ObserverSynthesis(obs=obs, Q0_bar=Q0_bar, dual=rec, ricc=ricc,
+                             ctrl=ctrl)
 
 
 def synthesize(prob: EstimationProblem,
@@ -257,5 +260,5 @@ def worst_case_bound(synth: ObserverSynthesis, ell, t1: float) -> float:
     v0 = ctrl.B_c @ (synth.obs.F.T @ ell)
     vt = expm(ctrl.A_c * t1) @ v0
     ECs = synth.obs.F.T @ synth.dual.lti.C_s
-    gap = float(vt @ (ECs.T @ synth.weights.Q0 @ ECs) @ vt)
+    gap = float(vt @ (ECs.T @ synth.Q0_bar @ ECs) @ vt)
     return sigma + max(gap, 0.0)

@@ -53,7 +53,6 @@ from .linalg import (
     _svd,
     as_matrix,
     as_vector,
-    inv_sqrt_spd,
     require_psd,
     require_spd,
     symmetrize,
@@ -82,8 +81,8 @@ class LqWeights:
     Q0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", require_spd(self.Q, "Q"))
-        object.__setattr__(self, "R", require_spd(self.R, "R"))
+        object.__setattr__(self, "Q", require_spd(self.Q, "Q")[0])
+        object.__setattr__(self, "R", require_spd(self.R, "R")[0])
         object.__setattr__(self, "Q0", require_psd(self.Q0, "Q0"))
         if self.Q0.shape[0] != self.Q.shape[0]:
             raise InputError("Q and Q0 must have equal size")
@@ -173,10 +172,12 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
                      are_tol: float = DEFAULT_ARE_TOL) -> RiccatiSolution:
     """Core Riccati solve on raw system blocks.
 
-    Accepts any symmetric S with D_l^T S D_l positive definite; the public
-    entry point builds S from validated weights.  Stabilizability of
-    (A_l, B_l) is decided here, once, by :func:`is_stabilizable`; a system
-    that fails it raises :class:`NotStabilizableError`.  The returned P is the
+    Accepts any symmetric S with D_l^T S D_l positive definite; callers
+    build S from weights validated where they entered (:func:`solve_are`
+    from :class:`LqWeights`, the observer from the inverted Q and R).
+    Stabilizability of (A_l, B_l) is decided here, once, by
+    :func:`is_stabilizable`; a system that fails it raises
+    :class:`NotStabilizableError`.  The returned P is the
     stabilizing positive-semidefinite solution (positive definite whenever
     the running cost is observable, which holds for every system built
     from weights Q > 0).  The residual, closed-loop stability and P >= 0
@@ -203,7 +204,7 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
     else:
         W = symmetrize(D.T @ S @ D)
         try:
-            W_isqrt = inv_sqrt_spd(W, "input-weight block D_l' S D_l")
+            W_isqrt = require_spd(W, "input-weight block D_l' S D_l")[1]
         except NotPositiveDefiniteError as exc:
             raise InternalConsistencyError(str(exc)) from exc
         Winv = W_isqrt @ W_isqrt
@@ -318,6 +319,8 @@ def assemble_controller(lti: AssociatedLti, rs: RiccatiSolution,
     """Optimal dynamic controller (A_c, B_c, C_x, C_u) from a Riccati
     solution; verifies the defining identity B_c E C_x = I."""
     E = as_matrix(E, "E")
+    if E.shape != (lti.n, lti.n):
+        raise InputError(f"E must be {lti.n} x {lti.n}, got shape {E.shape}")
     if rs.K.shape != (lti.k, lti.n_hat):
         raise InputError("Riccati solution does not match the system")
     C_x = lti.C_s - lti.D_s @ rs.K

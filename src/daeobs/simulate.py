@@ -21,7 +21,7 @@ import numpy as np
 
 from .dae import DaeSystem
 from .errors import ConsistencyError, InputError
-from .linalg import as_vector
+from .linalg import as_matrix, as_vector
 from .lti import AssociatedLti, ConstructionRecord, construct, output_trajectory_from_v0
 from .observer import EstimationProblem, Observer
 from .riccati import LqWeights
@@ -178,9 +178,13 @@ def finite_horizon_infimum(lti: AssociatedLti, w: LqWeights, E, v0,
     v0 = as_vector(v0, "v0")
     if v0.size != lti.n_hat:
         raise InputError(f"v0 must have length {lti.n_hat}")
+    E = as_matrix(E, "E")
+    if E.shape != (lti.n, lti.n):
+        raise InputError(f"E must be {lti.n} x {lti.n}, got shape {E.shape}")
+    if w.Q.shape[0] != lti.n or w.R.shape[0] != lti.m:
+        raise InputError("weight sizes do not match the system")
     if lti.n_hat == 0:
         return 0.0
-    E = np.asarray(E, dtype=float)
     h = t1 / n_steps
     Phi, Gamma, Qd, Nd, Rd = cost_discretization(
         lti.A_l, lti.B_l, lti.C_l, lti.D_l, w.S(), h

@@ -1,15 +1,27 @@
+import json
+
 import numpy as np
 import pytest
 
-from daeobs import InputError, NotPositiveDefiniteError
+from daeobs import (
+    EstimationProblem,
+    InputError,
+    LqWeights,
+    NotPositiveDefiniteError,
+    ObservedDae,
+    ProblemFileError,
+    synthesize_estimator,
+)
 from daeobs.linalg import (
     Subspace,
     image_basis,
-    inv_sqrt_spd,
     kernel_basis,
     numerical_rank,
     pseudoinverse,
+    require_spd,
 )
+from daeobs.observer import q0_bar
+from daeobs.problem_io import load_problem, matrix_to_json
 
 from .oracles import penrose_defects
 
@@ -93,28 +105,103 @@ class TestKernelImage:
 
 
 class TestInvSqrtSpd:
+    """The inverse square root that require_spd returns with its decision."""
+
     def test_diagonal(self):
-        R = inv_sqrt_spd(np.diag([4.0, 9.0]))
+        R = require_spd(np.diag([4.0, 9.0]))[1]
         np.testing.assert_allclose(R, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
 
     def test_identity(self):
-        np.testing.assert_allclose(inv_sqrt_spd(np.eye(3)), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(require_spd(np.eye(3))[1], np.eye(3), atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_algebraic_identity(self, seed):
         rng = np.random.default_rng(seed)
         Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         M = Q @ np.diag(rng.uniform(0.2, 5.0, 4)) @ Q.T
-        R = inv_sqrt_spd(M)
+        R = require_spd(M)[1]
         assert np.linalg.norm(R @ M @ R - np.eye(4)) <= 1e-10
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NotPositiveDefiniteError):
-            inv_sqrt_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            require_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_singular_with_context(self):
         with pytest.raises(NotPositiveDefiniteError, match="weight block"):
-            inv_sqrt_spd(np.diag([1.0, 0.0]), what="input-weight block D'SD")
+            require_spd(np.diag([1.0, 0.0]), "input-weight block D'SD")
+
+
+def _load(tmp_path, kind, **mats):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "problem": kind,
+        "matrices": {name: matrix_to_json(M) for name, M in mats.items()}}))
+    try:
+        load_problem(str(path))
+    except ProblemFileError as exc:
+        raise exc.__cause__ or exc
+
+
+def _observed(k):
+    return ObservedDae(np.eye(2), -np.eye(2), np.eye(k, 2))
+
+
+# A positive definite weight M (k x k) enters as R of a 2-state observed
+# DAE with k outputs, as Q0 of q0_bar, and as R of LqWeights.
+SPD_ENTRIES = {
+    "EstimationProblem": lambda M, tmp: EstimationProblem(
+        _observed(len(M)), np.eye(2), np.eye(2), M, np.ones(2)),
+    "synthesize_estimator": lambda M, tmp: synthesize_estimator(
+        _observed(len(M)), np.eye(2), np.eye(2), M),
+    "q0_bar": lambda M, tmp: q0_bar(np.eye(len(M)), M),
+    "LqWeights": lambda M, tmp: LqWeights(Q=np.eye(2), R=M, Q0=np.eye(2)),
+    "load_problem": lambda M, tmp: _load(
+        tmp, "estimation", F=np.eye(2), A=-np.eye(2), H=np.eye(len(M), 2),
+        Q=np.eye(2), R=M, Q0=np.eye(2), ell=np.ones((2, 1))),
+}
+# A semidefinite weight M enters as the terminal weight Q0 of a k-state
+# control problem.
+PSD_ENTRIES = {
+    "LqWeights": lambda M, tmp: LqWeights(Q=np.eye(len(M)), R=np.eye(1), Q0=M),
+    "load_problem": lambda M, tmp: _load(
+        tmp, "control", E=np.eye(len(M)), A_hat=-np.eye(len(M)),
+        B_hat=np.ones((len(M), 1)), Q=np.eye(len(M)), R=np.eye(1), Q0=M),
+}
+ASYM_INSIDE = np.array([[2.0, 1.0 + 2e-9], [1.0, 2.0]])
+ASYM_OUTSIDE = np.array([[2.0, 1.0 + 2e-8], [1.0, 2.0]])
+EMPTY = np.zeros((0, 0))
+
+
+class TestWeightDecision:
+    """Every public entry of a weight makes the same symmetric-definite
+    decision: symmetry cut at SYMMETRY_TOL, definiteness at SPD_TOL and
+    semidefiniteness at PSD_TOL, failures as NotPositiveDefiniteError."""
+
+    @pytest.mark.parametrize("entry", SPD_ENTRIES)
+    @pytest.mark.parametrize("M, ok", [
+        (ASYM_INSIDE, True), (ASYM_OUTSIDE, False),
+        (np.diag([1.0, 0.0]), False), (EMPTY, True)],
+        ids=["asym-2e-9", "asym-2e-8", "singular", "empty"])
+    def test_spd(self, entry, M, ok, tmp_path):
+        self._decide(SPD_ENTRIES[entry], M, ok, tmp_path)
+
+    @pytest.mark.parametrize("entry", PSD_ENTRIES)
+    @pytest.mark.parametrize("M, ok", [
+        (ASYM_INSIDE, True), (ASYM_OUTSIDE, False),
+        (np.diag([1.0, 0.0]), True), (np.diag([1.0, -2e-9]), False),
+        (np.diag([1.0, -5e-10]), True), (EMPTY, True)],
+        ids=["asym-2e-9", "asym-2e-8", "singular", "below-2e-9", "below-5e-10",
+             "empty"])
+    def test_psd(self, entry, M, ok, tmp_path):
+        self._decide(PSD_ENTRIES[entry], M, ok, tmp_path)
+
+    @staticmethod
+    def _decide(entry, M, ok, tmp_path):
+        if ok:
+            entry(M, tmp_path)
+        else:
+            with pytest.raises(NotPositiveDefiniteError):
+                entry(M, tmp_path)
 
 
 def test_numerical_rank_threshold_is_relative():

@@ -19,7 +19,7 @@ from daeobs.riccati import assemble_controller
 from daeobs.signals import SampledSignal, uniform_grid
 from daeobs.simulate import run_observer
 
-from .conftest import random_spd
+from .conftest import random_dae, random_spd
 from .oracles import classical_filter, kkt_constrained_min, observer_kernel
 
 A_CL = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [-0.3, 0.0, -1.5]])
@@ -217,6 +217,27 @@ class TestSynthesize:
         obsv = synthesize(prob)
         assert obsv.sigma >= 0
         assert np.max(obsv.spectrum.real) < 0
+
+    def test_decides_each_weight_once(self, monkeypatch):
+        # one symmetric eigendecomposition each for Q0, Q, R, D_l' S D_l
+        # and the P >= 0 check: the adjoint weights duality builds from
+        # them are positive by construction and are not decided again
+        calls = []
+
+        def counting(fn):
+            def wrapped(M, *args, **kwargs):
+                calls.append(np.shape(M))
+                return fn(M, *args, **kwargs)
+            return wrapped
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        rng = np.random.default_rng(4)
+        sys = random_dae(rng, 40, 10, 20)
+        obs = ObservedDae(sys.E, sys.A_hat, sys.B_hat.T.copy())
+        synthesize_estimator(obs, random_spd(rng, 40), random_spd(rng, 40),
+                             random_spd(rng, 10))
+        assert len(calls) == 5
 
 
 class TestSigmaMagnitude:

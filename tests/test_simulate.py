@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from daeobs import (
+    DaeSystem,
     EstimationProblem,
+    InputError,
     LqWeights,
     ObservedDae,
+    assemble_controller,
     construct,
     estimation_experiment,
     finite_horizon_infimum,
@@ -84,7 +87,6 @@ class TestRunObserver:
         assert np.max(np.abs(est.values)) == 0.0
 
     def test_dimension_mismatch(self):
-        from daeobs import InputError
         obsv = synthesize(classical_problem())
         grid = uniform_grid(1.0, 1e-2)
         with pytest.raises(InputError):
@@ -124,12 +126,42 @@ class TestFiniteHorizonInfimum:
 
 
 def _scalar_instance():
-    from daeobs import DaeSystem
     sys = DaeSystem(np.eye(1), np.zeros((1, 1)), np.eye(1))
     rec = construct(sys)
     w = LqWeights(np.eye(1), np.eye(1), np.eye(1))
     rs = solve_are(rec.lti, w)
     return sys, w, rec, rs
+
+
+NAN_E = np.array([[1.0, np.nan], [0.0, 1.0]])
+ENTRY_MISUSE = {
+    "assemble_controller-E-3x3": lambda lti, w, rs: assemble_controller(
+        lti, rs, np.eye(3)),
+    "assemble_controller-E-nan": lambda lti, w, rs: assemble_controller(
+        lti, rs, NAN_E),
+    "finite_horizon_infimum-E-3x3": lambda lti, w, rs: finite_horizon_infimum(
+        lti, w, np.eye(3), [1.0, 0.0], 1.0, 10),
+    "finite_horizon_infimum-E-nan": lambda lti, w, rs: finite_horizon_infimum(
+        lti, w, NAN_E, [1.0, 0.0], 1.0, 10),
+    "finite_horizon_infimum-Q-3x3": lambda lti, w, rs: finite_horizon_infimum(
+        lti, LqWeights(np.eye(3), np.eye(1), np.eye(3)), np.eye(2),
+        [1.0, 0.0], 1.0, 10),
+    "finite_horizon_infimum-R-2x2": lambda lti, w, rs: finite_horizon_infimum(
+        lti, LqWeights(np.eye(2), np.eye(2), np.eye(2)), np.eye(2),
+        [1.0, 0.0], 1.0, 10),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_MISUSE)
+def test_public_entries_check_E_and_weight_sizes(call):
+    # 2-state double integrator: E and the weights must match its n = 2, m = 1
+    sys = DaeSystem(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]),
+                    np.array([[0.0], [1.0]]))
+    lti = construct(sys).lti
+    w = LqWeights(np.eye(2), np.eye(1), np.eye(2))
+    rs = solve_are(lti, w)
+    with pytest.raises(InputError):
+        ENTRY_MISUSE[call](lti, w, rs)
 
 
 class TestEstimationExperiment:
@@ -206,7 +238,6 @@ class TestEstimationExperiment:
         run_estimation(prob, obsv, real, 1.0, record=rec)
 
     def test_observer_of_other_output_rejected(self):
-        from daeobs import InputError
         prob = classical_problem()
         one_output = EstimationProblem(
             ObservedDae(prob.obs.F, prob.obs.A, prob.obs.H[:1]),
