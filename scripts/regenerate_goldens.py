@@ -19,6 +19,7 @@ from pathlib import Path
 
 from daeobs.cli import main as cli_main
 from daeobs.fixtures import data_path, fixture_suite
+from daeobs.problem_io import dump_report
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / \
     "src" / "daeobs" / "fixtures" / "data" / "golden"
@@ -51,9 +52,7 @@ def regenerate() -> int:
             "note": fx.note,
         }
         target = GOLDEN_DIR / fx.golden
-        target.write_text(
-            json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-            + "\n")
+        target.write_text(dump_report(report))
         print(f"{fx.name}: wrote {target.relative_to(Path.cwd())}"
               if target.is_relative_to(Path.cwd()) else f"{fx.name}: wrote {target}")
     return 0

@@ -68,22 +68,6 @@ EXIT_INTERNAL = 12
 EXIT_UNEXPECTED = 13
 
 
-def _merge_options(loaded: LoadedProblem, args) -> SolverOptions:
-    overrides = {}
-    for f in fields(SolverOptions):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    return replace(loaded.options, **overrides).validated()
-
-
-def _require_kind(loaded: LoadedProblem, kind: str):
-    if loaded.kind != kind:
-        raise InputError(
-            f"this command needs a '{kind}' problem file, got '{loaded.kind}'"
-        )
-
-
 def _control_system(loaded: LoadedProblem):
     """The control-form DAE of a problem (the adjoint, for estimation)."""
     if loaded.kind == "control":
@@ -91,15 +75,11 @@ def _control_system(loaded: LoadedProblem):
     return dual_dae(loaded.problem.obs)
 
 
-def _synthesize(args):
-    """Load an estimation problem and synthesize its functional's observer."""
-    loaded = load_problem(args.input)
-    _require_kind(loaded, "estimation")
-    opts = _merge_options(loaded, args)
-    prob = loaded.problem
+def _synthesize(prob, opts: SolverOptions):
+    """Synthesize an estimation problem's observer for its functional."""
     synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R,
                                  rank_tol=opts.rank_tol, are_tol=opts.are_tol)
-    return loaded, opts, synth, synth.for_ell(prob.ell)
+    return synth, synth.for_ell(prob.ell)
 
 
 def _dimensions(rec, input_name: str = "m") -> dict:
@@ -117,10 +97,12 @@ def _checks(*steps) -> dict:
             for step in steps for name, (value, tol) in step.checks.items()}
 
 
-def _cmd_synthesize_observer(args) -> int:
-    loaded, opts, synth, obsv = _synthesize(args)
-    report = report_envelope("synthesize-observer", loaded, opts)
-    report["result"] = {
+# Each command computes (result, checks, report path, stdout line) from the
+# loaded problem, the merged options and the parsed arguments.
+
+def _synthesize_observer(loaded: LoadedProblem, opts: SolverOptions, args):
+    synth, obsv = _synthesize(loaded.problem, opts)
+    result = {
         "A_o": matrix_to_json(obsv.A_o),
         "B_o": matrix_to_json(obsv.B_o),
         "C_o": matrix_to_json(obsv.C_o),
@@ -129,22 +111,16 @@ def _cmd_synthesize_observer(args) -> int:
         "observer_spectrum": spectrum_to_json(obsv.spectrum),
         "dimensions": _dimensions(synth.dual, "p"),
     }
-    report["checks"] = _checks(synth.dual, synth.ricc, synth.ctrl)
-    write_report(args.output, report)
-    print(f"observer synthesized: sigma = {obsv.sigma:.6e} -> {args.output}")
-    return EXIT_OK
+    return (result, _checks(synth.dual, synth.ricc, synth.ctrl), args.output,
+            f"observer synthesized: sigma = {obsv.sigma:.6e} -> {args.output}")
 
 
-def _cmd_solve_lq(args) -> int:
-    loaded = load_problem(args.input)
-    _require_kind(loaded, "control")
-    opts = _merge_options(loaded, args)
+def _solve_lq(loaded: LoadedProblem, opts: SolverOptions, args):
     prob: ControlProblem = loaded.problem
     rec = construct(prob.sys, rank_tol=opts.rank_tol)
     ricc = solve_are(rec.lti, prob.weights, are_tol=opts.are_tol)
     ctrl = assemble_controller(rec.lti, ricc, prob.sys.E)
-    report = report_envelope("solve-lq", loaded, opts)
-    report["result"] = {
+    result = {
         "A_c": matrix_to_json(ctrl.A_c),
         "B_c": matrix_to_json(ctrl.B_c),
         "C_x": matrix_to_json(ctrl.C_x),
@@ -155,19 +131,14 @@ def _cmd_solve_lq(args) -> int:
         "closed_loop_spectrum": spectrum_to_json(ricc.closed_loop_spectrum),
         "dimensions": _dimensions(rec),
     }
-    report["checks"] = _checks(rec, ricc, ctrl)
-    write_report(args.output, report)
-    print(f"controller synthesized -> {args.output}")
-    return EXIT_OK
+    return (result, _checks(rec, ricc, ctrl), args.output,
+            f"controller synthesized -> {args.output}")
 
 
-def _cmd_associated_lti(args) -> int:
-    loaded = load_problem(args.input)
-    opts = _merge_options(loaded, args)
+def _associated_lti(loaded: LoadedProblem, opts: SolverOptions, args):
     rec = construct(_control_system(loaded), rank_tol=opts.rank_tol)
     lti = rec.lti
-    report = report_envelope("associated-lti", loaded, opts)
-    report["result"] = {
+    result = {
         "A_l": matrix_to_json(lti.A_l),
         "B_l": matrix_to_json(lti.B_l),
         "C_l": matrix_to_json(lti.C_l),
@@ -180,17 +151,15 @@ def _cmd_associated_lti(args) -> int:
         "X_basis": matrix_to_json(lti.X.basis),
         "dimensions": _dimensions(rec),
     }
-    report["checks"] = _checks(rec)
-    write_report(args.output, report)
-    print(f"associated linear system -> {args.output}")
-    return EXIT_OK
+    return (result, _checks(rec), args.output,
+            f"associated linear system -> {args.output}")
 
 
-def _cmd_simulate(args) -> int:
+def _simulate(loaded: LoadedProblem, opts: SolverOptions, args):
     if args.runs < 1:
         raise InputError("--runs must be at least 1")
-    loaded, opts, synth, obsv = _synthesize(args)
     prob = loaded.problem
+    synth, obsv = _synthesize(prob, opts)
     os.makedirs(args.output_dir, exist_ok=True)
     t1 = opts.horizon
     bound = worst_case_bound(synth, prob.ell, t1) + 1e-6
@@ -201,43 +170,39 @@ def _cmd_simulate(args) -> int:
     for i in range(n_runs):
         seed = opts.seed + i
         realization = draw(prob, t1, seed, step=opts.step, record=rec)
-        result = run_estimation(prob, obsv, realization, t1, record=rec)
-        grid = result.error.grid
+        outcome = run_estimation(prob, obsv, realization, t1, record=rec)
+        grid = outcome.error.grid
         header = ["t"] + [f"y_{j + 1}" for j in range(prob.p)] + [
             "estimate", "true_value", "error"]
-        columns = [grid] + [result.y.values[j] for j in range(prob.p)] + [
-            result.estimate.values[0], result.truth.values[0],
-            result.error.values[0]]
+        columns = [grid] + [outcome.y.values[j] for j in range(prob.p)] + [
+            outcome.estimate.values[0], outcome.truth.values[0],
+            outcome.error.values[0]]
         fname = f"trace_{i:03d}.csv"
         write_csv(os.path.join(args.output_dir, fname), header, columns)
         runs.append({
             "file": fname,
             "seed": seed,
             "rho": realization.rho,
-            "initial_abs_error": result.initial_abs_error,
-            "trailing_max_abs_error": result.trailing_max_abs_error(),
-            "final_sq_error": result.final_sq_error,
+            "initial_abs_error": outcome.initial_abs_error,
+            "trailing_max_abs_error": outcome.trailing_max_abs_error(),
+            "final_sq_error": outcome.final_sq_error,
             "sigma_bound": bound,
-            "bound_ok": bool(result.final_sq_error <= bound),
+            "bound_ok": bool(outcome.final_sq_error <= bound),
         })
-    report = report_envelope("simulate", loaded, opts)
-    report["result"] = {
+    result = {
         "mode": "noisy" if args.noisy else "clean",
         "sigma": obsv.sigma,
         "runs": runs,
     }
     worst_final = max(r["final_sq_error"] for r in runs)
-    report["checks"] = {
+    checks = {
         "final_sq_error_within_bound": check_entry(worst_final, bound),
     }
-    write_report(os.path.join(args.output_dir, "summary.json"), report)
-    print(f"{len(runs)} run(s) -> {args.output_dir}")
-    return EXIT_OK
+    return (result, checks, os.path.join(args.output_dir, "summary.json"),
+            f"{len(runs)} run(s) -> {args.output_dir}")
 
 
-def _cmd_check_equivalence(args) -> int:
-    loaded = load_problem(args.input)
-    opts = _merge_options(loaded, args)
+def _check_equivalence(loaded: LoadedProblem, opts: SolverOptions, args):
     rng = np.random.default_rng(opts.seed)
     base = construct(_control_system(loaded), rank_tol=opts.rank_tol)
     worst: dict[str, float] = {}
@@ -254,16 +219,46 @@ def _cmd_check_equivalence(args) -> int:
         "equivalence_defects": check_entry(max_defect, STRUCTURAL_TOL),
         "transformed_quadruple": check_entry(worst_verify, STRUCTURAL_TOL),
     }
-    report = report_envelope("check-equivalence", loaded, opts)
-    report["result"] = {
+    result = {
         "trials": opts.trials,
         "max_defects": {k: worst[k] for k in sorted(worst)},
         "max_transformed_residual": worst_verify,
         "ok": all(c["ok"] for c in checks.values()),
     }
+    return (result, checks, args.output, f"{opts.trials} build pairs, "
+            f"max defect {max_defect:.3e} -> {args.output}")
+
+
+# name -> (help, the problem kind it needs or None for either, command)
+COMMANDS = {
+    "synthesize-observer": ("synthesize a minimax observer", "estimation",
+                            _synthesize_observer),
+    "solve-lq": ("synthesize an optimal controller", "control", _solve_lq),
+    "associated-lti": ("emit the associated linear system", None,
+                       _associated_lti),
+    "simulate": ("run estimation experiments", "estimation", _simulate),
+    "check-equivalence": ("verify feedback equivalence of randomized builds",
+                          None, _check_equivalence),
+}
+
+
+def _run(args) -> int:
+    """Load the problem, merge the options, run the command, write its report."""
+    _, kind, command = COMMANDS[args.command]
+    loaded = load_problem(args.input)
+    if kind is not None and loaded.kind != kind:
+        raise InputError(
+            f"this command needs a '{kind}' problem file, got '{loaded.kind}'"
+        )
+    overrides = {f.name: getattr(args, f.name) for f in fields(SolverOptions)
+                 if getattr(args, f.name) is not None}
+    opts = replace(loaded.options, **overrides).validated()
+    result, checks, path, line = command(loaded, opts, args)
+    report = report_envelope(args.command, loaded, opts)
+    report["result"] = result
     report["checks"] = checks
-    write_report(args.output, report)
-    print(f"{opts.trials} build pairs, max defect {max_defect:.3e} -> {args.output}")
+    write_report(path, report)
+    print(line)
     return EXIT_OK
 
 
@@ -275,31 +270,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Minimax observers and LQ controllers for linear DAEs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, output=True):
+    for name, (help_text, _, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="problem file (JSON)")
-        if output:
+        if name != "simulate":
             p.add_argument("--output", "-o", required=True, help="report path")
         for f in fields(SolverOptions):
             p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                            type=type(f.default), default=None)
 
-    p = sub.add_parser("synthesize-observer",
-                       help="synthesize a minimax observer")
-    add_common(p)
-    p.set_defaults(fn=_cmd_synthesize_observer)
-
-    p = sub.add_parser("solve-lq", help="synthesize an optimal controller")
-    add_common(p)
-    p.set_defaults(fn=_cmd_solve_lq)
-
-    p = sub.add_parser("associated-lti",
-                       help="emit the associated linear system")
-    add_common(p)
-    p.set_defaults(fn=_cmd_associated_lti)
-
-    p = sub.add_parser("simulate", help="run estimation experiments")
-    add_common(p, output=False)
+    p = sub.choices["simulate"]
     p.add_argument("--output-dir", required=True, help="directory for traces")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--noisy", action="store_true",
@@ -308,12 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="noise-free runs (default)")
     p.add_argument("--runs", type=int, default=5,
                    help="number of noisy runs (default 5)")
-    p.set_defaults(fn=_cmd_simulate)
-
-    p = sub.add_parser("check-equivalence",
-                       help="verify feedback equivalence of randomized builds")
-    add_common(p)
-    p.set_defaults(fn=_cmd_check_equivalence)
     return parser
 
 
@@ -328,8 +302,7 @@ _ERROR_EXITS = (
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return args.fn(args)
+        return _run(_build_parser().parse_args(argv))
     except SystemExit as exc:  # from argparse: --help exits 0, a usage error 2
         return EXIT_INPUT if exc.code else EXIT_OK
     except Exception as exc:

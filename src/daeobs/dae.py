@@ -90,6 +90,12 @@ def dual_dae(obs: ObservedDae) -> DaeSystem:
     return DaeSystem(obs.F.T.copy(), obs.A.T.copy(), -obs.H.T)
 
 
+def same_system(s1: DaeSystem, s2: DaeSystem) -> bool:
+    """Whether two DAE systems have equal shapes and close matrices."""
+    pairs = ((s1.E, s2.E), (s1.A_hat, s2.A_hat), (s1.B_hat, s2.B_hat))
+    return all(a.shape == b.shape and np.allclose(a, b) for a, b in pairs)
+
+
 @dataclass(frozen=True)
 class CanonicalForm:
     """Coordinates in which E becomes [[I_r, 0], [0, 0]].

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dae import canonical_form_from_transforms
+from .dae import canonical_form_from_transforms, same_system
 from .errors import InputError, InternalConsistencyError, require
 from .geometric import (
     OutputNullingData,
@@ -77,9 +77,7 @@ def build_equivalence(rec1: ConstructionRecord, rec2: ConstructionRecord,
     tolerance failed), then forms (T, F, U) and evaluates all six
     identities as relative residuals.
     """
-    s1, s2 = rec1.sys, rec2.sys
-    if not (np.allclose(s1.E, s2.E) and np.allclose(s1.A_hat, s2.A_hat)
-            and np.allclose(s1.B_hat, s2.B_hat)):
+    if not same_system(rec1.sys, rec2.sys):
         raise InputError("records were built from different DAE systems")
     cf1, cf2 = rec1.cf, rec2.cf
     if cf1.r != cf2.r:

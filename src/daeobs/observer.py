@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag, expm
 
-from .dae import ObservedDae, dual_dae
+from .dae import ObservedDae, dual_dae, same_system
 from .errors import InestimableError, InputError, NotStabilizableError
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -213,12 +213,8 @@ def synthesize_estimator(obs: ObservedDae, Q0, Q, R,
         raise InputError("weight sizes do not match the observed system")
     adj = dual_dae(obs)
     rec = dual_record if dual_record is not None else construct(adj, rank_tol)
-    if dual_record is not None and rec.sys is not adj:
-        E_match = np.allclose(rec.sys.E, adj.E) and \
-            np.allclose(rec.sys.A_hat, adj.A_hat) and \
-            np.allclose(rec.sys.B_hat, adj.B_hat)
-        if not E_match:
-            raise InputError("dual_record was not built from the adjoint system")
+    if dual_record is not None and not same_system(rec.sys, adj):
+        raise InputError("dual_record was not built from the adjoint system")
     lti = rec.lti
     try:
         ricc = solve_are_blocks(lti.A_l, lti.B_l, lti.C_l, lti.D_l,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -73,10 +74,6 @@ class TestSynthesizeObserver:
 
     def test_missing_file_exits_1(self, tmp_path):
         assert run_cli(["synthesize-observer", tmp_path / "nope.json",
-                        "--output", tmp_path / "r.json"]) == 1
-
-    def test_wrong_problem_kind_exits_1(self, tmp_path):
-        assert run_cli(["synthesize-observer", data_path("ctrl_ode.json"),
                         "--output", tmp_path / "r.json"]) == 1
 
 
@@ -329,3 +326,55 @@ class TestParser:
         assert json.loads(a.read_text())["options"]["rank_tol"] == 1e-6
         assert json.loads(b.read_text())["options"]["rank_tol"] == \
             load_problem(str(path)).options.rank_tol
+
+
+class TestCommandTable:
+    # The problem kind each command takes; None takes either (an
+    # estimation file through its adjoint).
+    KINDS = {"synthesize-observer": "estimation", "solve-lq": "control",
+             "associated-lti": None, "simulate": "estimation",
+             "check-equivalence": None}
+    FILES = {"estimation": "est_rank1.json", "control": "ctrl_rank1.json"}
+
+    @pytest.mark.parametrize("file_kind", FILES)
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_problem_kind(self, command, file_kind, tmp_path, capsys):
+        out = ["--output-dir", tmp_path / "sim"] if command == "simulate" \
+            else ["--output", tmp_path / "r.json"]
+        code = run_cli([command, data_path(self.FILES[file_kind])] + out + [
+            "--horizon", "1", "--step", "0.01", "--trials", "2"])
+        kind = self.KINDS[command]
+        if kind in (None, file_kind):
+            assert code == 0
+        else:
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: this command needs a '{kind}' problem file, "
+                f"got '{file_kind}'\n")
+
+    def test_cli_surface(self):
+        """Subcommands, and per subcommand each argument's option strings,
+        whether it is required and its default, in parser order."""
+        solver = [((flag,), False, None) for flag in (
+            "--rank-tol", "--are-tol", "--step", "--horizon", "--seed",
+            "--trials")]
+        head = [(("-h", "--help"), False, argparse.SUPPRESS),
+                ("input", True, None)]
+        report = head + [(("--output", "-o"), True, None)] + solver
+        want = {
+            "synthesize-observer": report,
+            "solve-lq": report,
+            "associated-lti": report,
+            "simulate": head + solver + [
+                (("--output-dir",), True, None), (("--noisy",), False, False),
+                (("--clean",), False, False), (("--runs",), False, 5)],
+            "check-equivalence": report,
+        }
+        parser = cli._build_parser.__wrapped__()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        assert sub.required
+        got = {name: [(tuple(a.option_strings) or a.dest, a.required,
+                       a.default) for a in p._actions]
+               for name, p in sub.choices.items()}
+        assert list(got) == list(want)
+        assert got == want

@@ -40,6 +40,13 @@ class TestBuildEquivalence:
         with pytest.raises(InputError):
             build_equivalence(rec1, rec2)
 
+    def test_different_size_rejected(self):
+        rng = np.random.default_rng(0)
+        rec1 = construct(random_dae(rng, 2, 1, 1))
+        rec2 = construct(random_dae(rng, 3, 1, 1))
+        with pytest.raises(InputError, match="different DAE"):
+            build_equivalence(rec1, rec2)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_identity_E_randomized_pairs(self, seed):
         rng = np.random.default_rng(1200 + seed)

@@ -7,6 +7,7 @@ from daeobs import (
     InputError,
     NotStabilizableError,
     ObservedDae,
+    construct,
     synthesize,
     synthesize_estimator,
 )
@@ -184,6 +185,13 @@ class TestSynthesize:
             synth.worst_case_error([1.0, 0.0])
         with pytest.raises(InestimableError):
             worst_case_bound(synth, [1.0, 0.0], 20.0)
+
+    def test_dual_record_of_another_size_rejected(self):
+        prob = classical_problem()
+        other = ObservedDae(np.eye(2), -np.eye(2), np.ones((1, 2)))
+        with pytest.raises(InputError, match="adjoint"):
+            synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R,
+                                 dual_record=construct(dual_dae(other)))
 
     def test_shared_synthesis_across_functionals(self):
         prob = classical_problem()
