@@ -46,6 +46,7 @@ from .problem_io import (
     SolverOptions,
     check_entry,
     load_problem,
+    make_output_dir,
     matrix_to_json,
     report_envelope,
     spectrum_to_json,
@@ -160,7 +161,7 @@ def _simulate(loaded: LoadedProblem, opts: SolverOptions, args):
         raise InputError("--runs must be at least 1")
     prob = loaded.problem
     synth, obsv = _synthesize(prob, opts)
-    os.makedirs(args.output_dir, exist_ok=True)
+    make_output_dir(args.output_dir)
     t1 = opts.horizon
     bound = worst_case_bound(synth, prob.ell, t1) + 1e-6
     runs = []

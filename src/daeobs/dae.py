@@ -98,18 +98,20 @@ def same_system(s1: DaeSystem, s2: DaeSystem) -> bool:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Coordinates in which E becomes [[I_r, 0], [0, 0]].
+    """Coordinates in which E becomes [[I_r, 0], [0, 0]], and the auxiliary
+    system they induce.
 
-    S and T are the invertible row/column transforms (built from the SVD of
-    E, so they are orthogonal up to the singular-value scaling), r is the
-    numerical rank of E, and the remaining fields are the blocks of
-    S A_hat T and S B_hat:
+    S and T are the invertible row/column transforms with S E T =
+    diag(I_r, 0): :func:`canonical_form` takes them and r from the SVD of
+    E, and :func:`canonical_form_from_transforms` checks caller-supplied
+    ones against the caller's r.  The four blocks are views of one array,
+    S [A_hat T, B_hat] split at r:
 
-        S A_hat T = [[A_tilde, A12], [A21, A22]],   S B_hat = [[B1], [B2]].
+        [[A_tilde, G], [C_tilde, D_tilde]] = S [A_hat T, B_hat].
 
-    The derived maps G = [A12, B1], C_tilde = A21, D_tilde = [A22, B2]
-    define the auxiliary linear system whose output-zeroing trajectories
-    are exactly the DAE trajectories.
+    They define the auxiliary linear system pdot = A_tilde p + G q,
+    z = C_tilde p + D_tilde q, whose output-zeroing trajectories are
+    exactly the DAE trajectories.
     """
 
     sys: DaeSystem
@@ -117,11 +119,9 @@ class CanonicalForm:
     T: np.ndarray
     r: int
     A_tilde: np.ndarray
-    A12: np.ndarray
-    A21: np.ndarray
-    A22: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
+    G: np.ndarray
+    C_tilde: np.ndarray
+    D_tilde: np.ndarray
 
     @property
     def n(self) -> int:
@@ -136,29 +136,14 @@ class CanonicalForm:
         """Input dimension n - r + m of the auxiliary linear system."""
         return self.n - self.r + self.m
 
-    @property
-    def G(self) -> np.ndarray:
-        return np.hstack([self.A12, self.B1])
-
-    @property
-    def C_tilde(self) -> np.ndarray:
-        return self.A21
-
-    @property
-    def D_tilde(self) -> np.ndarray:
-        return np.hstack([self.A22, self.B2])
-
 
 def _partition(sys: DaeSystem, S: np.ndarray, T: np.ndarray,
                r: int) -> CanonicalForm:
-    """Blocks of S A_hat T and S B_hat split at the rank r of E."""
-    M = S @ sys.A_hat @ T
-    B = S @ sys.B_hat
-    return CanonicalForm(
-        sys=sys, S=S, T=T, r=r,
-        A_tilde=M[:r, :r], A12=M[:r, r:], A21=M[r:, :r], A22=M[r:, r:],
-        B1=B[:r, :], B2=B[r:, :],
-    )
+    """The canonical form whose blocks split S [A_hat T, B_hat] at r."""
+    M = np.hstack([S @ sys.A_hat @ T, S @ sys.B_hat])
+    return CanonicalForm(sys=sys, S=S, T=T, r=r,
+                         A_tilde=M[:r, :r], G=M[:r, r:],
+                         C_tilde=M[r:, :r], D_tilde=M[r:, r:])
 
 
 def canonical_form(sys: DaeSystem,
@@ -173,10 +158,7 @@ def canonical_form(sys: DaeSystem,
     n = sys.n
     U, s, Vt = _svd(E)
     r = _rank(s, E.shape, rank_tol)
-    if r:
-        S = np.vstack([U[:, :r].T / s[:r, None], U[:, r:].T])
-    else:
-        S = U.T.copy()
+    S = np.vstack([U[:, :r].T / s[:r, None], U[:, r:].T])
     T = Vt.T.copy()
 
     # The trailing block of S E T holds the singular values the rank
@@ -191,21 +173,23 @@ def canonical_form(sys: DaeSystem,
 
 
 def canonical_form_from_transforms(sys: DaeSystem, S, T,
-                                   rank_tol: float = DEFAULT_RANK_TOL) -> CanonicalForm:
-    """Build a canonical form from caller-supplied transforms S, T.
+                                   r: int) -> CanonicalForm:
+    """Build a canonical form from caller-supplied transforms S, T and the
+    rank r of E they normalize.
 
-    The pair must satisfy S E T = diag(I_r, 0); this is checked.  Used for
-    exercising alternative (e.g. randomized) coordinate choices, which all
-    lead to feedback-equivalent constructions downstream.
+    The pair must satisfy S E T = diag(I_r, 0); this is checked, and the
+    rank is not decided again.  Used for exercising alternative (e.g.
+    randomized) coordinate choices, which all lead to feedback-equivalent
+    constructions downstream.
     """
     S = as_matrix(S, "S")
     T = as_matrix(T, "T")
     n = sys.n
     if S.shape != (n, n) or T.shape != (n, n):
         raise InputError("S and T must be square of the system dimension")
+    if not 0 <= r <= n:
+        raise InputError(f"rank r = {r} is outside 0..{n}")
     D = S @ sys.E @ T
-    s = np.linalg.svd(D, compute_uv=False) if n else np.zeros(0)
-    r = _rank(s, D.shape, rank_tol)
     resid = np.linalg.norm(D - np.diag(np.r_[np.ones(r), np.zeros(n - r)]))
     if resid > 1e-8 * max(1.0, float(np.linalg.norm(D))) * max(n, 1):
         raise InputError(

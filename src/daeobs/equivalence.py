@@ -107,11 +107,9 @@ def build_equivalence(rec1: ConstructionRecord, rec2: ConstructionRecord,
     if L2.shape[1] != k:
         raise InternalConsistencyError("input-kernel ranks disagree between records")
 
-    F_hat = np.vstack([-np.linalg.solve(R22, R21) if n - r else np.zeros((0, r)),
-                       np.zeros((m, r))])
+    F_hat = np.vstack([-np.linalg.solve(R22, R21), np.zeros((m, r))])
     U_hat = np.zeros((n - r + m, n - r + m))
-    if n - r:
-        U_hat[: n - r, : n - r] = np.linalg.inv(R22)
+    U_hat[: n - r, : n - r] = np.linalg.inv(R22)
     U_hat[n - r:, n - r:] = np.eye(m)
 
     L1p = pseudoinverse(L1, rank_tol)
@@ -197,7 +195,7 @@ def randomized_construction(base: ConstructionRecord, rng: np.random.Generator,
     and off the subspace) and the column basis of L.
     """
     sys = base.sys
-    n, m, r = base.cf.n, base.cf.m, base.cf.r
+    n, r = base.cf.n, base.cf.r
 
     # S' = M S, T' = T N with M = [[M11, M12], [0, M22]],
     # N = [[M11^{-1}, 0], [N21, N22]] keeps S' E T' = diag(I_r, 0).
@@ -209,12 +207,10 @@ def randomized_construction(base: ConstructionRecord, rng: np.random.Generator,
     M[:r, r:] = 0.4 * rng.standard_normal((r, n - r))
     M[r:, r:] = M22
     N = np.zeros((n, n))
-    if r:
-        N[:r, :r] = np.linalg.inv(M11)
+    N[:r, :r] = np.linalg.inv(M11)
     N[r:, :r] = 0.4 * rng.standard_normal((n - r, r))
     N[r:, r:] = N22
-    cf = canonical_form_from_transforms(sys, M @ base.cf.S, base.cf.T @ N,
-                                        rank_tol)
+    cf = canonical_form_from_transforms(sys, M @ base.cf.S, base.cf.T @ N, r)
 
     V = weakly_observable_subspace(cf, rank_tol)
     if V.dim != base.V.dim:

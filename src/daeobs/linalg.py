@@ -188,18 +188,6 @@ def kernel_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
     return Subspace(Vt[r:].T.copy())
 
 
-def image_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
-                scale: float = 0.0) -> Subspace:
-    """Orthonormal basis of the column space of M."""
-    M = as_matrix(M)
-    m, n = M.shape
-    if n == 0 or not np.any(M):
-        return Subspace.zero(m)
-    U, s, _ = _svd(M)
-    r = _rank(s, M.shape, rank_tol, scale)
-    return Subspace(U[:, :r].copy())
-
-
 def _require_symmetric(M, name: str) -> np.ndarray:
     """The package's one symmetry decision: M square and symmetric within
     SYMMETRY_TOL * (1 + ||M||_F); returns symmetrize(M)."""

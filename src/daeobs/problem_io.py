@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -221,9 +223,25 @@ def dump_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+@contextmanager
+def _output_path(path: str):
+    """Report an operating-system refusal to create or write ``path`` (a
+    missing directory, a file in the way, no permission) as an InputError
+    naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def make_output_dir(path: str):
+    with _output_path(path):
+        os.makedirs(path, exist_ok=True)
+
+
 def write_report(path: str, report: dict):
     text = dump_report(report)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output_path(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
@@ -239,7 +257,7 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]):
         raise InputError("header does not match column count")
     table = np.column_stack(columns).astype(float, copy=False)
     row = ",".join(["%.12e"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output_path(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, length, CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]

@@ -52,7 +52,6 @@ from .linalg import (
     _rank,
     _svd,
     as_matrix,
-    as_vector,
     require_psd,
     require_spd,
     symmetrize,
@@ -120,10 +119,6 @@ class DynamicController:
     C_x: np.ndarray
     C_u: np.ndarray
     checks: dict[str, tuple[float, float]]
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        return np.linalg.eigvals(self.A_c) if self.A_c.size else np.zeros(0, complex)
 
 
 def is_stabilizable(A_l, B_l) -> bool:
@@ -334,11 +329,3 @@ def assemble_controller(lti: AssociatedLti, rs: RiccatiSolution,
         C_u=lti.C_inp - lti.D_inp @ rs.K,
         checks={"Bc_E_Cx_minus_I": defect},
     )
-
-
-def optimal_cost(rs: RiccatiSolution, v0) -> float:
-    """Infinite-horizon value v0^T P v0 for the reduced initial state v0."""
-    v0 = as_vector(v0, "v0")
-    if v0.size != rs.n_hat:
-        raise InputError(f"v0 must have length {rs.n_hat}")
-    return float(v0 @ rs.P @ v0)

@@ -132,8 +132,7 @@ def clean_realization(prob: EstimationProblem, t1: float, seed: int,
     lti = rec.lti
     grid = uniform_grid(t1, step)
     v0 = rng.standard_normal(lti.n_hat)
-    x0 = lti.C_s @ v0 if lti.n_hat else np.zeros(prob.n)
-    x0 = prob.obs.F @ x0
+    x0 = prob.obs.F @ (lti.C_s @ v0)
     norm = float(np.linalg.norm(x0))
     if norm > 0:
         x0 = x0 / norm

@@ -48,7 +48,7 @@ def cf_from_blocks(A_tilde, G, C_tilde, D_tilde, m: int):
     A_hat = np.block([[A_tilde, A12], [C_tilde, A22]])
     B_hat = np.vstack([B1, B2])
     sys = DaeSystem(E, A_hat, B_hat)
-    return canonical_form_from_transforms(sys, np.eye(n), np.eye(n))
+    return canonical_form_from_transforms(sys, np.eye(n), np.eye(n), r)
 
 
 def random_reduced_instance(rng: np.random.Generator,

@@ -16,9 +16,9 @@ from scipy.linalg import expm, solve_continuous_are
 
 from daeobs.dae import DaeSystem, ObservedDae
 from daeobs.errors import ConsistencyError, InputError
-from daeobs.linalg import as_matrix, as_vector
+from daeobs.linalg import DEFAULT_RANK_TOL, Subspace, _rank, _svd, as_matrix, as_vector
 from daeobs.lti import AssociatedLti, output_trajectory_from_v0
-from daeobs.riccati import LqWeights
+from daeobs.riccati import LqWeights, RiccatiSolution
 from daeobs.signals import SampledSignal, quadratic_form_series, simpson
 
 
@@ -46,6 +46,19 @@ def rk4_loop(A, B, x0, h: float, U) -> np.ndarray:
     return out
 
 
+def image_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
+                scale: float = 0.0) -> Subspace:
+    """Orthonormal basis of the column space of M, cut at the library's
+    relative rank threshold."""
+    M = as_matrix(M)
+    m, n = M.shape
+    if n == 0 or not np.any(M):
+        return Subspace.zero(m)
+    U, s, _ = _svd(M)
+    r = _rank(s, M.shape, rank_tol, scale)
+    return Subspace(U[:, :r].copy())
+
+
 def vstar_loop(cf, rank_tol: float = 1e-10):
     """Reference output-nulling iteration, each step from scratch in R^r:
     V_{k+1} is the x-block image of the kernel of
@@ -54,7 +67,7 @@ def vstar_loop(cf, rank_tol: float = 1e-10):
     the dimension from settling; that raises ``RuntimeError``.
     """
     from daeobs.geometric import _system_scale
-    from daeobs.linalg import Subspace, image_basis, kernel_basis
+    from daeobs.linalg import kernel_basis
 
     r = cf.r
     V = Subspace.full(r)
@@ -88,7 +101,6 @@ def nested_step(cf, Q, c: int, rank_tol: float = 1e-10):
     that loses one direction per step costs O(r^4) in total.
     """
     from daeobs.geometric import _system_scale
-    from daeobs.linalg import _rank, _svd
 
     r = cf.r
     W, W_perp = Q[:, :c], Q[:, c:]
@@ -113,7 +125,6 @@ def nested_step_direct(cf, Q, c: int, rank_tol: float = 1e-10):
     [[W_perp' A_tilde W, W_perp' G], [C_tilde W, D_tilde]], W = Q[:, :c].
     Returns an orthonormal basis of V_{k+1} in R^r."""
     from daeobs.geometric import _system_scale
-    from daeobs.linalg import _rank, _svd, image_basis
 
     W, W_perp = Q[:, :c], Q[:, c:]
     p, q = cf.D_tilde.shape
@@ -423,6 +434,14 @@ def output_trajectory(lti: AssociatedLti, E, x0,
         )
     v0 = lti.Lambda @ (E @ x0)
     return output_trajectory_from_v0(lti, v0, g)
+
+
+def optimal_cost(rs: RiccatiSolution, v0) -> float:
+    """Infinite-horizon value v0^T P v0 for the reduced initial state v0."""
+    v0 = as_vector(v0, "v0")
+    if v0.size != rs.n_hat:
+        raise InputError(f"v0 must have length {rs.n_hat}")
+    return float(v0 @ rs.P @ v0)
 
 
 def evaluate_cost(lti: AssociatedLti, w: LqWeights, E, v0,

@@ -29,12 +29,11 @@ from daeobs.fixtures import data_path
 from daeobs.lti import output_trajectory_from_v0
 from daeobs.observer import worst_case_bound
 from daeobs.problem_io import load_problem
-from daeobs.riccati import optimal_cost
 from daeobs.signals import SampledSignal, uniform_grid
 from daeobs.simulate import clean_realization, noise_system
 
 from .conftest import random_dae
-from .oracles import fd_dae_defect, recover_input
+from .oracles import fd_dae_defect, optimal_cost, recover_input
 from .test_geometric import check_subspace_against_zeroing_oracle
 
 

@@ -225,6 +225,28 @@ class TestSimulate:
         assert "seed must be nonnegative" in capsys.readouterr().err
 
 
+class TestUnwritableOutput:
+    """An output path the system refuses is a usage error (exit 1) that
+    names the path, not an unexpected failure."""
+
+    def test_report_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        code = run_cli(["solve-lq", data_path("ctrl_ode.json"), "-o", path])
+        assert code == 1
+        assert f"cannot write {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_output_dir_through_a_file(self, sub, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / sub if sub else blocker
+        code = run_cli(["simulate", data_path("est_rank1.json"),
+                        "--output-dir", out, "--horizon", "1"])
+        assert code == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert blocker.read_text() == ""
+
+
 class TestCheckEquivalence:
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         code = run_cli(["check-equivalence", data_path("ctrl_rank1.json"),

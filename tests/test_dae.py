@@ -58,7 +58,7 @@ class TestCanonicalForm:
         cf = canonical_form(sys)
         assert cf.r == 2
         np.testing.assert_allclose(cf.S @ sys.E @ cf.T, np.eye(2), atol=1e-14)
-        assert cf.A21.shape == (0, 2) and cf.A22.shape == (0, 0)
+        assert cf.C_tilde.shape == (0, 2) and cf.D_tilde.shape == (0, 1)
         np.testing.assert_allclose(cf.A_tilde, cf.S @ sys.A_hat @ cf.T, atol=1e-14)
 
     def test_zero_E(self):
@@ -67,7 +67,7 @@ class TestCanonicalForm:
         cf = canonical_form(DaeSystem(np.zeros((2, 2)), A, B))
         assert cf.r == 0
         assert cf.A_tilde.shape == (0, 0)
-        # D_tilde = [A22, B2] equals [S A T, S B] up to the change of basis
+        # with r = 0, D_tilde is all of S [A_hat T, B_hat]
         np.testing.assert_allclose(cf.D_tilde,
                                    np.hstack([cf.S @ A @ cf.T, cf.S @ B]),
                                    atol=1e-14)
@@ -89,7 +89,21 @@ class TestCanonicalForm:
         sys = DaeSystem(np.eye(2), np.zeros((2, 2)), np.zeros((2, 1)))
         S = np.array([[1.0, 0.0], [0.0, 2.0]])  # S E T != diag(I_r, 0)
         with pytest.raises(InputError, match="do not normalize"):
-            canonical_form_from_transforms(sys, S, np.eye(2))
+            canonical_form_from_transforms(sys, S, np.eye(2), 2)
+
+    def test_from_transforms_checks_the_callers_rank(self):
+        from daeobs.dae import canonical_form_from_transforms
+        sys = DaeSystem(np.diag([1.0, 0.0]), np.array([[1.0, 2.0], [3.0, 4.0]]),
+                        np.array([[5.0], [6.0]]))
+        cf = canonical_form_from_transforms(sys, np.eye(2), np.eye(2), 1)
+        assert cf.r == 1
+        np.testing.assert_array_equal(cf.G, [[2.0, 5.0]])
+        for r in (0, 2):
+            with pytest.raises(InputError, match="do not normalize"):
+                canonical_form_from_transforms(sys, np.eye(2), np.eye(2), r)
+        for r in (-1, 3):
+            with pytest.raises(InputError, match="outside 0..2"):
+                canonical_form_from_transforms(sys, np.eye(2), np.eye(2), r)
 
     @pytest.mark.parametrize("seed,n,m,r", [
         (0, 3, 1, 2), (1, 4, 2, 1), (2, 4, 0, 4), (3, 2, 2, 0), (4, 5, 1, 3),
@@ -104,19 +118,15 @@ class TestCanonicalForm:
         assert defect <= 1e-10 * (1 + np.linalg.norm(sys.E)) * n
         assert np.isfinite(np.linalg.cond(cf.S))
         assert np.isfinite(np.linalg.cond(cf.T))
-        # blocks reassemble S A T and S B
+        # the four blocks split S [A_hat T, B_hat] at r
         SAT = cf.S @ sys.A_hat @ cf.T
-        np.testing.assert_allclose(
-            np.block([[cf.A_tilde, cf.A12], [cf.A21, cf.A22]]), SAT, atol=1e-12)
-        np.testing.assert_allclose(
-            np.vstack([cf.B1, cf.B2]), cf.S @ sys.B_hat, atol=1e-12)
-        # block identities G = [A12, B1], D_tilde = [A22, B2], C_tilde = A21
-        np.testing.assert_array_equal(cf.G, np.hstack([cf.A12, cf.B1]))
-        np.testing.assert_array_equal(cf.D_tilde, np.hstack([cf.A22, cf.B2]))
-        np.testing.assert_array_equal(cf.C_tilde, cf.A21)
-        # the same transforms supplied explicitly give the same blocks
+        SB = cf.S @ sys.B_hat
+        np.testing.assert_array_equal(cf.A_tilde, SAT[:r, :r])
+        np.testing.assert_array_equal(cf.G, np.hstack([SAT[:r, r:], SB[:r]]))
+        np.testing.assert_array_equal(cf.C_tilde, SAT[r:, :r])
+        np.testing.assert_array_equal(cf.D_tilde, np.hstack([SAT[r:, r:], SB[r:]]))
+        # the same transforms and rank supplied explicitly give the same blocks
         from daeobs.dae import canonical_form_from_transforms
-        cf2 = canonical_form_from_transforms(sys, cf.S, cf.T)
-        assert cf2.r == cf.r
-        for name in ("A_tilde", "A12", "A21", "A22", "B1", "B2"):
+        cf2 = canonical_form_from_transforms(sys, cf.S, cf.T, cf.r)
+        for name in ("A_tilde", "G", "C_tilde", "D_tilde"):
             np.testing.assert_array_equal(getattr(cf2, name), getattr(cf, name))

@@ -12,6 +12,7 @@ from daeobs import (
 from daeobs.equivalence import randomized_construction, verify_equivalence
 
 from .conftest import random_dae
+from .oracles import optimal_cost
 from .test_observer import classical_problem
 
 TOL = 1e-8
@@ -75,6 +76,32 @@ class TestBuildEquivalence:
         rep = verify_equivalence(rec1.lti, rec2.lti, eq)
         assert rep.max_residual <= TOL, rep.residuals
 
+    def test_randomized_build_decides_no_rank_of_E(self, monkeypatch):
+        """The randomized canonical form takes r from the base record, so
+        building it runs no SVD."""
+        from daeobs import equivalence
+        inside, svd_calls = [False], []
+        original_cf = equivalence.canonical_form_from_transforms
+        original_svd = np.linalg.svd
+
+        def counted_cf(*args, **kwargs):
+            inside[0] = True
+            try:
+                return original_cf(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def counted_svd(*args, **kwargs):
+            svd_calls.append(inside[0])
+            return original_svd(*args, **kwargs)
+
+        base = construct(random_dae(np.random.default_rng(0), 4, 1, 2))
+        monkeypatch.setattr(equivalence, "canonical_form_from_transforms",
+                            counted_cf)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        randomized_construction(base, np.random.default_rng(1))
+        assert svd_calls and not any(svd_calls)
+
     def test_perturbed_U_detected(self):
         sys = rank1_system()
         rng = np.random.default_rng(9)
@@ -105,7 +132,6 @@ class TestInvarianceOfSynthesis:
 
     def test_optimal_value_invariant_across_builds(self, reduced_instance_pool):
         from daeobs import solve_are
-        from daeobs.riccati import optimal_cost
         sys, w, rec, rs = reduced_instance_pool[3]
         rng = np.random.default_rng(12)
         x0 = rec.lti.C_s @ rng.standard_normal(rec.lti.n_hat)

@@ -14,7 +14,6 @@ from daeobs import (
 )
 from daeobs.linalg import (
     Subspace,
-    image_basis,
     kernel_basis,
     numerical_rank,
     pseudoinverse,
@@ -23,7 +22,7 @@ from daeobs.linalg import (
 from daeobs.observer import q0_bar
 from daeobs.problem_io import load_problem, matrix_to_json
 
-from .oracles import penrose_defects
+from .oracles import image_basis, penrose_defects
 
 
 class TestPseudoinverse:

@@ -147,6 +147,12 @@ class TestCsv:
             write_csv(str(tmp_path / "x.csv"), ["a"],
                       [np.array([1.0]), np.array([2.0])])
 
+    def test_unwritable_path_is_an_input_error(self, tmp_path):
+        from daeobs import InputError
+        path = str(tmp_path / "missing" / "x.csv")
+        with pytest.raises(InputError, match="cannot write .*missing"):
+            write_csv(path, ["a"], [np.array([1.0])])
+
     def test_simulate_traces_match_row_loop(self, tmp_path, monkeypatch):
         written = []
 

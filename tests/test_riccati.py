@@ -17,11 +17,16 @@ from daeobs import (
     solve_are,
 )
 from daeobs.dae import dual_dae
-from daeobs.riccati import is_stabilizable, optimal_cost, solve_are_blocks
+from daeobs.riccati import is_stabilizable, solve_are_blocks
 from daeobs.signals import SampledSignal, uniform_grid
 
 from .conftest import random_dae, random_spd
-from .oracles import evaluate_cost, hamiltonian_schur_are, pbh_stabilizable
+from .oracles import (
+    evaluate_cost,
+    hamiltonian_schur_are,
+    optimal_cost,
+    pbh_stabilizable,
+)
 
 
 @st.composite

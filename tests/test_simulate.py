@@ -19,7 +19,6 @@ from daeobs import (
 from daeobs.fixtures import data_path
 from daeobs.observer import worst_case_bound
 from daeobs.problem_io import load_problem
-from daeobs.riccati import optimal_cost
 from daeobs.signals import SampledSignal, uniform_grid
 from daeobs.simulate import (
     clean_realization,
@@ -28,6 +27,7 @@ from daeobs.simulate import (
     run_observer,
 )
 
+from .oracles import optimal_cost
 from .test_observer import classical_problem
 
 
