@@ -45,6 +45,7 @@ from .problem_io import (
     LoadedProblem,
     SolverOptions,
     check_entry,
+    check_report_path,
     load_problem,
     make_output_dir,
     matrix_to_json,
@@ -159,9 +160,9 @@ def _associated_lti(loaded: LoadedProblem, opts: SolverOptions, args):
 def _simulate(loaded: LoadedProblem, opts: SolverOptions, args):
     if args.runs < 1:
         raise InputError("--runs must be at least 1")
+    make_output_dir(args.output_dir)
     prob = loaded.problem
     synth, obsv = _synthesize(prob, opts)
-    make_output_dir(args.output_dir)
     t1 = opts.horizon
     bound = worst_case_bound(synth, prob.ell, t1) + 1e-6
     runs = []
@@ -254,6 +255,8 @@ def _run(args) -> int:
     overrides = {f.name: getattr(args, f.name) for f in fields(SolverOptions)
                  if getattr(args, f.name) is not None}
     opts = replace(loaded.options, **overrides).validated()
+    if args.command != "simulate":
+        check_report_path(args.output)
     result, checks, path, line = command(loaded, opts, args)
     report = report_envelope(args.command, loaded, opts)
     report["result"] = result

@@ -25,12 +25,7 @@ import numpy as np
 
 from .dae import canonical_form_from_transforms, same_system
 from .errors import InputError, InternalConsistencyError, require
-from .geometric import (
-    OutputNullingData,
-    input_kernel_matrix,
-    weakly_observable_subspace,
-    friend,
-)
+from .geometric import OutputNullingData, output_nulling
 from .linalg import DEFAULT_RANK_TOL, Subspace, pseudoinverse
 from .lti import AssociatedLti, ConstructionRecord, _lift, assemble
 
@@ -190,9 +185,11 @@ def randomized_construction(base: ConstructionRecord, rng: np.random.Generator,
     """An alternative legal reduction of the DAE that ``base`` reduces.
 
     Randomizes every free choice of the construction: the normalizing pair
-    (S, T) within the family preserving S E T = diag(I_r, 0), the
-    subspace basis, the friend (shifted along the input-kernel directions
-    and off the subspace) and the column basis of L.
+    (S, T) within the family preserving S E T = diag(I_r, 0), then, on the
+    (V*, F_tilde, L) that :func:`daeobs.geometric.output_nulling` builds
+    and checks in those coordinates, the subspace basis, the friend
+    (shifted along the input-kernel directions and off the subspace) and
+    the column basis of L.
     """
     sys = base.sys
     n, r = base.cf.n, base.cf.r
@@ -212,20 +209,14 @@ def randomized_construction(base: ConstructionRecord, rng: np.random.Generator,
     N[r:, r:] = N22
     cf = canonical_form_from_transforms(sys, M @ base.cf.S, base.cf.T @ N, r)
 
-    V = weakly_observable_subspace(cf, rank_tol)
-    if V.dim != base.V.dim:
+    ond = output_nulling(cf, rank_tol)
+    if ond.V.dim != base.V.dim:
         raise InternalConsistencyError(
             "output-nulling dimension changed under a coordinate change"
         )
-    O = _random_orthogonal(rng, V.dim)
-    V = Subspace(V.basis @ O)
-
-    F0 = friend(cf, V, rank_tol)
-    L0 = input_kernel_matrix(cf, V, rank_tol)
-    k = L0.shape[1]
-    Z = 0.5 * rng.standard_normal((k, V.dim))
+    V = Subspace(ond.V.basis @ _random_orthogonal(rng, ond.V.dim))
+    Z = 0.5 * rng.standard_normal((ond.k, V.dim))
     Y = 0.5 * rng.standard_normal((cf.q_dim, r))
-    F_tilde = F0 + L0 @ Z @ V.basis.T + Y @ V.perp_projector()
-    L = L0 @ _well_conditioned(rng, k)
-    ond = OutputNullingData(V=V, F_tilde=F_tilde, L=L)
-    return assemble(cf, ond, rank_tol)
+    F_tilde = ond.F_tilde + ond.L @ Z @ V.basis.T + Y @ V.perp_projector()
+    L = ond.L @ _well_conditioned(rng, ond.k)
+    return assemble(cf, OutputNullingData(V=V, F_tilde=F_tilde, L=L), rank_tol)

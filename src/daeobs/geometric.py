@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .dae import CanonicalForm
 from .errors import IDENTITY_TOL, require
@@ -29,7 +30,6 @@ from .linalg import (
     _svd,
     kernel_basis,
     numerical_rank,
-    pseudoinverse,
 )
 
 
@@ -107,17 +107,22 @@ def weakly_observable_subspace(cf: CanonicalForm,
     return Subspace(np.linalg.qr(Y, mode="complete")[0][:, d:].copy())
 
 
-def friend(cf: CanonicalForm, V: Subspace,
-           rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def friend(cf: CanonicalForm, V: Subspace, L: np.ndarray) -> np.ndarray:
     """A feedback F_tilde rendering V invariant with zero output on it.
 
     For each basis vector v of V the linear system
 
-        (I - P_V)(A_tilde v + G u) = 0,   C_tilde v + D_tilde u = 0
+        C_tilde v + D_tilde u = 0,   (I - P_V)(A_tilde v + G u) = 0
 
-    is solved for u by minimum-norm least squares; the feasibility residual
-    is checked explicitly (failure indicates a tolerance problem, since V
-    guarantees solvability).  Off V the friend acts as zero.
+    is solved for u by minimum-norm least squares in K = [D_tilde;
+    (I - P_V) G], cut at the rank decision that gave L = ker K
+    (:func:`input_kernel_matrix`).  With N the orthonormal complement of
+    Im L, K N has full column rank and
+    u = N (K N)^+ [-C_tilde v; -(I - P_V) A_tilde v], from one QR of K N:
+    this is K's truncated pseudoinverse, and no second rank decision is
+    made.  The feasibility residual is checked explicitly (failure
+    indicates a tolerance problem, since V guarantees solvability).  Off V
+    the friend acts as zero.
     """
     q_dim = cf.q_dim
     r = cf.r
@@ -125,9 +130,11 @@ def friend(cf: CanonicalForm, V: Subspace,
         return np.zeros((q_dim, r))
     W = V.basis
     Pp = V.perp_projector()
-    lhs = np.vstack([Pp @ cf.G, cf.D_tilde])
-    rhs = -np.vstack([Pp @ cf.A_tilde @ W, cf.C_tilde @ W])
-    U = pseudoinverse(lhs, rank_tol, scale=_system_scale(cf)) @ rhs
+    lhs = np.vstack([cf.D_tilde, Pp @ cf.G])
+    rhs = -np.vstack([cf.C_tilde @ W, Pp @ cf.A_tilde @ W])
+    N = np.linalg.qr(L, mode="complete")[0][:, L.shape[1]:]
+    Q, R = np.linalg.qr(lhs @ N)
+    U = N @ solve_triangular(R, Q.T @ rhs)
     scale = 1.0 + float(np.linalg.norm(cf.A_tilde)) + float(np.linalg.norm(cf.G))
     require("friend feasibility", np.linalg.norm(lhs @ U - rhs),
             IDENTITY_TOL * scale)
@@ -175,8 +182,8 @@ def output_nulling(cf: CanonicalForm,
                    rank_tol: float = DEFAULT_RANK_TOL) -> OutputNullingData:
     """Compute (V*, F_tilde, L) and verify the defining identities."""
     V = weakly_observable_subspace(cf, rank_tol)
-    F_tilde = friend(cf, V, rank_tol)
     L = input_kernel_matrix(cf, V, rank_tol)
+    F_tilde = friend(cf, V, L)
     data = OutputNullingData(V=V, F_tilde=F_tilde, L=L)
     scale = 1.0 + float(np.linalg.norm(cf.A_tilde)) + float(np.linalg.norm(cf.G))
     for name, value in data.defects(cf).items():

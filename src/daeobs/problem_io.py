@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -58,6 +59,10 @@ class SolverOptions:
     trials: int = 20
 
     def validated(self) -> "SolverOptions":
+        for name in ("rank_tol", "are_tol", "step", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ProblemFileError(f"{name} must be finite and positive, "
+                                       f"got {getattr(self, name)}")
         if self.rank_tol <= 0 or self.are_tol <= 0:
             raise ProblemFileError("tolerances must be positive")
         if self.step <= 0:
@@ -232,6 +237,13 @@ def _output_path(path: str):
         yield
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def check_report_path(path: str):
+    """Raise the InputError that writing a report to ``path`` would raise
+    when its directory is missing or is not a directory, before any work."""
+    with _output_path(path):
+        os.stat(os.path.join(os.path.dirname(path), "."))
 
 
 def make_output_dir(path: str):

@@ -83,6 +83,24 @@ def vstar_loop(cf, rank_tol: float = 1e-10):
     raise RuntimeError("output-nulling iteration failed to stabilize within r steps")
 
 
+def friend_pinv(cf, V, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Reference friend from its own SVD: the minimum-norm least-squares
+    solution of (I - P_V)(A_tilde v + G u) = 0, C_tilde v + D_tilde u = 0
+    for each basis vector v of V, through the pseudoinverse of
+    [(I - P_V) G; D_tilde] cut at the library's rank threshold.  No
+    feasibility check; off V it acts as zero."""
+    from daeobs.geometric import _system_scale
+    from daeobs.linalg import pseudoinverse
+
+    if V.dim == 0 or cf.q_dim == 0:
+        return np.zeros((cf.q_dim, cf.r))
+    W = V.basis
+    Pp = V.perp_projector()
+    lhs = np.vstack([Pp @ cf.G, cf.D_tilde])
+    rhs = -np.vstack([Pp @ cf.A_tilde @ W, cf.C_tilde @ W])
+    return pseudoinverse(lhs, rank_tol, scale=_system_scale(cf)) @ rhs @ W.T
+
+
 def nested_step(cf, Q, c: int, rank_tol: float = 1e-10):
     """One classical output-nulling step, searched inside V_k = Im Q[:, :c].
 

@@ -247,6 +247,48 @@ class TestUnwritableOutput:
         assert blocker.read_text() == ""
 
 
+    @pytest.mark.parametrize("argv", [
+        ["solve-lq", data_path("ctrl_ode.json"), "-o", "missing/r.json"],
+        ["check-equivalence", data_path("ctrl_ode.json"), "-o", "missing/r.json"],
+        ["simulate", data_path("est_rank1.json"), "--output-dir", "file"],
+    ], ids=["solve-lq", "check-equivalence", "simulate"])
+    def test_fails_before_any_reduction(self, argv, tmp_path, monkeypatch,
+                                        capsys):
+        (tmp_path / "file").write_text("")
+        monkeypatch.chdir(tmp_path)
+        calls = count_reductions(monkeypatch)
+        assert run_cli(argv) == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert calls == []
+
+
+class TestNonFiniteOptions:
+    """A NaN or infinite number option is an option error (exit 1) that
+    names the option, found before any work."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("option", ["rank_tol", "are_tol", "step", "horizon"])
+    def test_flag(self, option, value, tmp_path, monkeypatch, capsys):
+        calls = count_reductions(monkeypatch)
+        out = tmp_path / "out"
+        code = run_cli(["simulate", data_path("est_rank1.json"),
+                        "--output-dir", out,
+                        "--" + option.replace("_", "-"), value])
+        assert code == 1
+        assert f"{option} must be finite and positive" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_file_value_that_overflows(self, tmp_path, capsys):
+        doc = json.loads(data_path("ctrl_ode.json").read_text())
+        doc["options"] = {"rank_tol": "HUGE"}
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
+        code = run_cli(["solve-lq", bad, "--output", tmp_path / "r.json"])
+        assert code == 1
+        assert "rank_tol must be finite and positive, got inf" in \
+            capsys.readouterr().err
+
+
 class TestCheckEquivalence:
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         code = run_cli(["check-equivalence", data_path("ctrl_rank1.json"),

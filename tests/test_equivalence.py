@@ -5,11 +5,14 @@ from dataclasses import replace
 from daeobs import (
     DaeSystem,
     InputError,
+    InternalConsistencyError,
     build_equivalence,
     construct,
     synthesize_estimator,
 )
 from daeobs.equivalence import randomized_construction, verify_equivalence
+from daeobs.fixtures import data_path
+from daeobs.problem_io import load_problem
 
 from .conftest import random_dae
 from .oracles import optimal_cost
@@ -101,6 +104,18 @@ class TestBuildEquivalence:
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         randomized_construction(base, np.random.default_rng(1))
         assert svd_calls and not any(svd_calls)
+
+    def test_randomized_build_checks_its_output_nulling_data(self):
+        """A randomized build runs output_nulling in its own coordinates,
+        so a coarse cut that takes L out of ker D_tilde there stops at
+        that identity (ctrl_algebraic, second build of seed 0)."""
+        sys = load_problem(data_path("ctrl_algebraic.json")).problem.sys
+        base = construct(sys, rank_tol=0.05)
+        rng = np.random.default_rng(0)
+        randomized_construction(base, rng, rank_tol=0.05)
+        with pytest.raises(InternalConsistencyError,
+                           match="output-nulling L_in_kernel"):
+            randomized_construction(base, rng, rank_tol=0.05)
 
     def test_perturbed_U_detected(self):
         sys = rank1_system()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from daeobs import DaeSystem, InternalConsistencyError, construct
+from daeobs.fixtures import data_path
 from daeobs.geometric import (
     _annihilator_levels,
     friend,
@@ -13,6 +14,7 @@ from daeobs.geometric import (
 from .conftest import cf_from_blocks, random_dae
 from .oracles import (
     bounded_zeroing_lower_bound,
+    friend_pinv,
     friend_zeroing,
     nested_step,
     nested_step_direct,
@@ -35,7 +37,7 @@ def check_subspace_against_zeroing_oracle(cf, V, horizon=ORACLE_HORIZON,
     """
     r = cf.r
     blocks = (cf.A_tilde, cf.G, cf.C_tilde, cf.D_tilde)
-    F_t = friend(cf, V)
+    F_t = friend(cf, V, input_kernel_matrix(cf, V))
     scale = 1.0 + np.linalg.norm(cf.C_tilde) + np.linalg.norm(cf.D_tilde)
     budget = 1.0
     for i in range(V.dim):
@@ -51,6 +53,18 @@ def check_subspace_against_zeroing_oracle(cf, V, horizon=ORACLE_HORIZON,
         w = w / np.linalg.norm(w)
         lb = bounded_zeroing_lower_bound(*blocks, w, horizon, n_steps, budget)
         assert lb > 1e-5, f"state off the subspace looks zeroable: bound {lb}"
+
+
+def friend_tol(cf, V, k: int) -> float:
+    """Relative distance allowed between two friends from different
+    least-squares solves: 1e-10, or about 10 eps times the condition
+    number of K = [D_tilde; (I - P_V) G] over the q - k singular values
+    that L's cut keeps, whichever is larger (the forward error of a
+    backward-stable solve grows with that condition number)."""
+    K = np.vstack([cf.D_tilde, V.perp_projector() @ cf.G])
+    kept = np.linalg.svd(K, compute_uv=False)[: cf.q_dim - k]
+    kappa = kept[0] / kept[-1] if kept.size else 1.0
+    return max(1e-10, 10 * np.finfo(float).eps * kappa)
 
 
 def structured_draw(rng) -> DaeSystem:
@@ -115,14 +129,19 @@ class TestWeaklyObservableSubspace:
         """Sparse A and B in the coordinates of E = Q1 diag(I_r, 0) Q2 give
         ranks near the cut: every draw must build, and dim V* must equal the
         from-scratch reference iteration wherever that reference returns an
-        output-nulling subspace (one that admits a friend)."""
+        output-nulling subspace (one that admits a friend).  The friend,
+        which reads L's rank decision, must equal the pseudoinverse
+        reference that makes its own."""
         rng = np.random.default_rng(1)
         compared = 0
         for _ in range(2000):
             rec = construct(structured_draw(rng))
+            F_ref = friend_pinv(rec.cf, rec.V)
+            assert np.linalg.norm(rec.ond.F_tilde - F_ref) <= \
+                friend_tol(rec.cf, rec.V, rec.ond.k) * max(1.0, np.linalg.norm(F_ref))
             try:
                 V_ref = vstar_loop(rec.cf)
-                friend(rec.cf, V_ref)
+                friend(rec.cf, V_ref, input_kernel_matrix(rec.cf, V_ref))
             except (RuntimeError, InternalConsistencyError):
                 continue
             assert rec.V.dim == V_ref.dim
@@ -271,7 +290,7 @@ class TestFriend:
         cf = cf_from_blocks(np.zeros((2, 2)), np.zeros((2, 2)),
                             np.eye(2), np.zeros((2, 2)), m=0)
         V = weakly_observable_subspace(cf)
-        F = friend(cf, V)
+        F = friend(cf, V, input_kernel_matrix(cf, V))
         assert F.shape == (2, 2)
         assert np.all(F == 0.0)
 
@@ -281,8 +300,56 @@ class TestFriend:
                             np.zeros((1, 2)), m=1)
         V = weakly_observable_subspace(cf)
         assert V.dim == 2
-        F = friend(cf, V)
+        F = friend(cf, V, input_kernel_matrix(cf, V))
         assert np.linalg.norm(F) <= 1e-12
+
+    @pytest.mark.parametrize("rank_tol", [0.01, 0.15, 0.3])
+    def test_matches_the_pseudoinverse_reference(self, rank_tol, monkeypatch):
+        """On est_rank1's adjoint the cuts at 0.15 and 0.3 drop a real
+        singular value of K, so both friends fail feasibility there; with
+        the check lifted they must still compute the same F_tilde."""
+        from daeobs import geometric
+        from daeobs.dae import canonical_form, dual_dae
+        from daeobs.problem_io import load_problem
+        monkeypatch.setattr(geometric, "require", lambda name, v, tol: (v, tol))
+        obs = load_problem(data_path("est_rank1.json")).problem.obs
+        cf = canonical_form(dual_dae(obs), rank_tol)
+        V = weakly_observable_subspace(cf, rank_tol)
+        F = friend(cf, V, input_kernel_matrix(cf, V, rank_tol))
+        F_ref = friend_pinv(cf, V, rank_tol)
+        assert V.dim and np.linalg.norm(F_ref)
+        assert np.linalg.norm(F - F_ref) <= 1e-10 * max(1.0, np.linalg.norm(F_ref))
+
+    def test_reads_the_cut_of_L(self, monkeypatch):
+        """The friend takes no SVD and makes no rank cut: one construct of
+        ctrl_rank1 runs 6 SVDs, none of them inside the friend."""
+        from daeobs import geometric, linalg
+        from daeobs.problem_io import load_problem
+        inside, svd_calls, rank_calls = [False], [], []
+        original_friend, original_svd = geometric.friend, np.linalg.svd
+
+        def counted_friend(*args, **kwargs):
+            inside[0] = True
+            try:
+                return original_friend(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def counted(calls, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(inside[0])
+                return fn(*args, **kwargs)
+            return wrapped
+
+        sys = load_problem(data_path("ctrl_rank1.json")).problem.sys
+        monkeypatch.setattr(geometric, "friend", counted_friend)
+        monkeypatch.setattr(np.linalg, "svd", counted(svd_calls, original_svd))
+        for mod in (geometric, linalg):
+            monkeypatch.setattr(mod, "_rank", counted(rank_calls, mod._rank))
+        rec = construct(sys)
+        assert rec.V.dim and rec.cf.q_dim
+        assert len(svd_calls) == 6
+        assert not any(svd_calls) and not any(rank_calls)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_defect_norms(self, seed):
