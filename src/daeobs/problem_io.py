@@ -46,6 +46,47 @@ CONTROL_MATRICES = ("E", "A_hat", "B_hat", "Q", "R", "Q0")
 # Rows of a CSV trace formatted and written at a time; bounds the text held.
 CSV_BLOCK_ROWS = 4096
 
+# '%.12e' of a finite v != 0 is [-]D.DDDDDDDDDDDDe(+|-)XX[X]: the 13 digits
+# of M = round(|v| 10^(12-e)), 1e12 <= M < 1e13.  _format_block computes M
+# in floating point for |e| < _FAST_EXP, where 10^(12-e) and the product are
+# normal numbers, and lays each field out in a 24-byte row:
+#   0 pad | 1 sign | 2 D | 3 '.' | 4-15 DDDD DDDD DDDD | 16 'e' | 17 sign |
+#   18 hundreds digit of |e| or pad | 19-20 its last two digits | 21-22 pad |
+#   23 ',' or LF
+# so dropping every zero byte leaves the text.  _SCALE and _TAIL are indexed
+# by k = e + _FAST_EXP + 1.
+_FAST_EXP = 290
+_EXPS = np.arange(-_FAST_EXP - 1, _FAST_EXP + 2)
+# 10^(12-e), each parsed from its decimal so it is correctly rounded
+_SCALE = np.array([float(f"1e{12 - e}") for e in _EXPS.tolist()])
+_ASCII = np.arange(48, 58, dtype=np.uint8)  # '0'..'9'
+
+
+def _as_words(table: np.ndarray) -> np.ndarray:
+    """The last axis of a uint8 table as one unsigned integer per row."""
+    return table.view(f"u{table.shape[-1]}").ravel()
+
+
+# '0000'..'9999'
+_DIGIT4 = _as_words(np.stack(np.meshgrid(*[_ASCII] * 4, indexing="ij"), axis=-1))
+# pad, sign, D, '.' at index 10 * signbit + D
+_HEAD = np.zeros((2, 10, 4), np.uint8)
+_HEAD[1, :, 1] = ord("-")
+_HEAD[:, :, 2] = _ASCII
+_HEAD[:, :, 3] = ord(".")
+_HEAD = _as_words(_HEAD)
+# 'e', sign, hundreds digit or pad, 2 digits, pad, separator at index
+# 2 k + (last column)
+_TAIL = np.zeros((len(_EXPS), 2, 8), np.uint8)
+_TAIL[..., 0] = ord("e")
+_TAIL[..., 1] = (ord("+") + 2 * (_EXPS < 0))[:, None]
+_TAIL[..., 2:5] = _ASCII[np.abs(_EXPS)[:, None] // [100, 10, 1] % 10][:, None]
+_TAIL[np.abs(_EXPS) < 100, :, 2] = 0
+_TAIL[..., 7] = [ord(","), ord("\n")]
+_TAIL = _as_words(_TAIL)
+# bytes 20-23 of a row spliced from '%': pad, pad, pad, separator
+_SEP4 = _as_words(np.array([[0, 0, 0, ord(",")], [0, 0, 0, ord("\n")]], np.uint8))
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -60,15 +101,10 @@ class SolverOptions:
 
     def validated(self) -> "SolverOptions":
         for name in ("rank_tol", "are_tol", "step", "horizon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ProblemFileError(f"{name} must be finite and positive, "
-                                       f"got {getattr(self, name)}")
-        if self.rank_tol <= 0 or self.are_tol <= 0:
-            raise ProblemFileError("tolerances must be positive")
-        if self.step <= 0:
-            raise ProblemFileError("step must be positive")
-        if self.horizon <= 0:
-            raise ProblemFileError("horizon must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ProblemFileError(
+                    f"{name} must be finite and positive, got {value}")
         if self.seed < 0:
             raise ProblemFileError("seed must be nonnegative")
         if self.trials < 1:
@@ -257,9 +293,73 @@ def write_report(path: str, report: dict):
         fh.write(text)
 
 
+def _format_block(block: np.ndarray) -> bytearray:
+    """The bytes of '%.12e' % v for every v of a 2-D float block, joined by
+    ',' within a row and each row ended by LF.
+
+    y = |v| * 10^(12-e) carries at most two roundings (the table entry and
+    the product), so it is within 2^-52 y < 0.0025 of the exact value.  A
+    fractional part of y farther than 0.005 from 1/2 therefore rounds
+    exactly as the exact value does.  Every other value (a near or exact tie,
+    0, a subnormal, a non-finite value, |e| >= _FAST_EXP or a y outside
+    [1e12, 1e13)) takes '%' itself, and its text is spliced into the same
+    rows.
+    """
+    cols = block.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = np.abs(block)
+        k = np.floor(np.log10(y))
+        fast = np.abs(k) < _FAST_EXP
+        k[~fast] = 0.0
+        k = k.astype(np.intp) + (_FAST_EXP + 1)
+        y *= _SCALE[k]
+        # log10 may miss by one next to a power of ten: rescale those values
+        miss = np.flatnonzero((y >= 1e13) | (y < 1e12))
+        flat_k, flat_y = k.reshape(-1), y.reshape(-1)
+        off = flat_y[miss]
+        flat_k[miss] += (off >= 1e13).astype(np.intp) - (off < 1e12)
+        flat_y[miss] = np.abs(block.reshape(-1)[miss]) * _SCALE[flat_k[miss]]
+        mant = np.floor(y)
+        y -= mant
+        fast &= (mant >= 1e12) & (mant < 1e13) & (np.abs(y - 0.5) > 0.005)
+        mant += y > 0.5
+    mant[~fast] = 1e12
+    mant = mant.astype(np.int64)
+    carry = mant == 10 ** 13
+    mant[carry] = 10 ** 12
+    k += carry
+    # floor division by a scalar is numpy's fast integer path; % is not
+    upper = mant // 10 ** 8                 # digits 1-5
+    mant -= upper * 10 ** 8                 # digits 6-13
+    lead = upper // 10 ** 4                 # digit 1
+    upper -= lead * 10 ** 4                 # digits 2-5
+    lead[np.signbit(block)] += 10
+    k *= 2
+    k[:, -1] += 1
+
+    buf = bytearray(block.size * 24)
+    rows = np.frombuffer(buf, np.uint64).reshape(block.shape + (3,))
+    words = rows.view(np.uint32)
+    words[..., 0] = _HEAD[lead]
+    words[..., 1] = _DIGIT4[upper]
+    upper = mant // 10 ** 4                 # digits 6-9
+    mant -= upper * 10 ** 4                 # digits 10-13
+    words[..., 2] = _DIGIT4[upper]
+    words[..., 3] = _DIGIT4[mant]
+    rows[..., 2] = _TAIL[k]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ("%-20.12e" * slow.size % tuple(block.reshape(-1)[slow].tolist()))
+        spliced = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 20)
+        words = words.reshape(-1, 6)
+        words[slow, :5] = np.where(spliced == 32, 0, spliced).view(np.uint32)
+        words[slow, 5] = _SEP4[(slow % cols == cols - 1).astype(np.intp)]
+    return buf.translate(None, b"\0")
+
+
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]):
     """Write float columns with fixed '%.12e' formatting and LF endings,
-    CSV_BLOCK_ROWS rows per '%' on the repeated row template and per write."""
+    CSV_BLOCK_ROWS rows per formatted block and per write."""
     if not columns:
         raise InputError("no columns to write")
     length = len(columns[0])
@@ -268,9 +368,7 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]):
     if len(header) != len(columns):
         raise InputError("header does not match column count")
     table = np.column_stack(columns).astype(float, copy=False)
-    row = ",".join(["%.12e"] * len(columns)) + "\n"
-    with _output_path(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with _output_path(path), open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, length, CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_block(table[start:start + CSV_BLOCK_ROWS]))

@@ -62,6 +62,8 @@ DEFAULT_ARE_TOL = 1e-8
 PBH_EIG_MARGIN = 1e-9
 # Relative rank cut of the controllability staircase in is_stabilizable.
 STAIRCASE_RANK_TOL = 1e-9
+# Newton polish: at most MAX_REFINE Lyapunov solves; it also ends once two
+# consecutive steps found no new smallest residual.
 MAX_REFINE = 25
 # Doubling: stop at ||dH||_1 <= SDA_TOL ||H||_1 or after SDA_MAX_STEPS; a
 # Cayley shift leaving an LU pivot ratio <= SHIFT_PIVOT_RATIO is doubled.
@@ -211,6 +213,7 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
 
         with np.errstate(over="ignore", invalid="ignore"):
             P = _doubling(A_bar, G, Q_bar)
+            smallest, stale = np.inf, 0
             for _ in range(MAX_REFINE):
                 K = Winv @ (B.T @ P + D.T @ S @ C)
                 res_mat = P @ A + A.T @ P - K.T @ W @ K + CSC
@@ -219,7 +222,9 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
                 if not np.isfinite(residual + P_norm):
                     raise InternalConsistencyError(
                         "Riccati refinement diverged to a non-finite P or residual")
-                if residual <= are_tol * (1.0 + P_norm):
+                stale = 0 if residual < smallest else stale + 1
+                smallest = min(smallest, residual)
+                if residual <= are_tol * (1.0 + P_norm) or stale == 2:
                     break
                 # a Lyapunov solve LAPACK had to perturb (two eigenvalues of
                 # A - B K summing to about 0) cannot continue the iteration
@@ -231,7 +236,7 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
                     except (RuntimeWarning, ValueError) as exc:
                         raise InternalConsistencyError(
                             f"Riccati refinement: Newton step failed: {exc}") from exc
-            else:
+            if residual > are_tol * (1.0 + P_norm):
                 raise InternalConsistencyError(
                     f"Riccati refinement stalled at residual {residual:.3e}"
                 )

@@ -289,6 +289,36 @@ class TestNonFiniteOptions:
             capsys.readouterr().err
 
 
+class TestNonPositiveOptions:
+    """A zero or negative number option is an option error (exit 1) with the
+    same message as a non-finite one, naming the option and its value."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("option", ["rank_tol", "are_tol", "step", "horizon"])
+    def test_flag(self, option, value, tmp_path, monkeypatch, capsys):
+        calls = count_reductions(monkeypatch)
+        out = tmp_path / "out"
+        code = run_cli(["simulate", data_path("est_rank1.json"),
+                        "--output-dir", out,
+                        "--" + option.replace("_", "-"), value])
+        assert code == 1
+        assert (f"{option} must be finite and positive, got {float(value)}"
+                in capsys.readouterr().err)
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("value", [0, -0.5])
+    @pytest.mark.parametrize("option", ["rank_tol", "are_tol", "step", "horizon"])
+    def test_file_value(self, option, value, tmp_path, capsys):
+        doc = json.loads(data_path("est_rank1.json").read_text())
+        doc["options"] = {option: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run_cli(["simulate", bad, "--output-dir", tmp_path / "out"])
+        assert code == 1
+        assert (f"{option} must be finite and positive, got {float(value)}"
+                in capsys.readouterr().err)
+
+
 class TestCheckEquivalence:
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         code = run_cli(["check-equivalence", data_path("ctrl_rank1.json"),

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from daeobs import ProblemFileError
 from daeobs.cli import main
@@ -191,3 +194,63 @@ class TestCsv:
         path = tmp_path / "x.csv"
         write_csv(str(path), header, columns)
         assert path.read_bytes() == csv_rows_loop(header, columns)
+
+
+def _written(directory, columns) -> bytes:
+    path = directory / "x.csv"
+    write_csv(str(path), [f"c{j}" for j in range(len(columns))], columns)
+    return path.read_bytes()
+
+
+def _neighbours(values) -> np.ndarray:
+    """Each value with its three float neighbours on either side."""
+    out = []
+    for x in values:
+        for toward in (-np.inf, np.inf):
+            y = x
+            for _ in range(3):
+                y = np.nextafter(y, toward)
+                out.append(y)
+        out.append(x)
+    return np.array(out)
+
+
+class TestCsvFormat:
+    """write_csv against one '%.12e' per value, on values chosen where a
+    scaled, rounded 13-digit mantissa is hardest to get right."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.floats(width=64)))
+    def test_any_float_matches_row_loop(self, tmp_path_factory, table):
+        columns = list(table.T)
+        assert (_written(tmp_path_factory.mktemp("csv"), columns)
+                == csv_rows_loop([f"c{j}" for j in range(len(columns))], columns))
+
+    def assert_matches_row_loop(self, tmp_path, values):
+        values = np.concatenate([values, -values])
+        columns = [values, values[::-1], np.roll(values, 1)]
+        assert (_written(tmp_path, columns)
+                == csv_rows_loop(["c0", "c1", "c2"], columns))
+
+    def test_exact_ties(self, tmp_path):
+        mantissas = np.random.default_rng(0).integers(10 ** 12, 10 ** 13, 200)
+        ties = [m + 0.5 for m in mantissas.tolist()]
+        # integers whose 14th significant digit is a final 5
+        ties += [float(10 * m + 5) for m in mantissas.tolist()]
+        ties += [float((10 * m + 5) * 10 ** j) for m in (1234567890123, 9999999999999)
+                 for j in range(2)]
+        ties += [1234567890123.5, 9999999999999.5]
+        self.assert_matches_row_loop(tmp_path, np.array(ties))
+
+    def test_next_to_half_way_points(self, tmp_path):
+        rng = np.random.default_rng(1)
+        halves = [float(f"{m}5e{e - 13}") for m, e in zip(
+            rng.integers(10 ** 12, 10 ** 13, 400).tolist(),
+            rng.integers(-310, 309, 400).tolist())]
+        self.assert_matches_row_loop(tmp_path, _neighbours(halves))
+
+    def test_next_to_powers_of_ten_and_carries(self, tmp_path):
+        anchors = [float(f"1e{k}") for k in range(-320, 309)]
+        anchors += [float(f"9.9999999999995e{k}") for k in range(-320, 308)]
+        self.assert_matches_row_loop(tmp_path, _neighbours(anchors))

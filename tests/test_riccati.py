@@ -317,6 +317,24 @@ class TestDoubling:
         with pytest.raises(InternalConsistencyError):
             solve_are(lti, w)
 
+    def test_stalled_polish_ends_early(self, monkeypatch):
+        # residuals 5.1e9, 2.7e9, 2.8e10, 4.8e9: the last two steps found no
+        # new smallest residual, so the polish ends after 3 of MAX_REFINE solves
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return lyapunov(*args)
+
+        lyapunov = riccati.solve_continuous_lyapunov
+        monkeypatch.setattr(riccati, "solve_continuous_lyapunov", counted)
+        sys = random_dae(np.random.default_rng(1), 160, 4, 120)
+        lti = construct(sys).lti
+        w = LqWeights(np.eye(160), np.eye(4), np.eye(160))
+        with pytest.raises(InternalConsistencyError, match="stalled at residual"):
+            solve_are(lti, w)
+        assert len(solves) == 3 < riccati.MAX_REFINE
+
 
 class TestController:
     def test_identity_case(self):
