@@ -44,7 +44,7 @@ from .simulate import DEFAULT_STEP
 ESTIMATION_MATRICES = ("F", "A", "H", "Q", "R", "Q0", "ell")
 CONTROL_MATRICES = ("E", "A_hat", "B_hat", "Q", "R", "Q0")
 # Rows of a CSV trace formatted and written at a time; bounds the text held.
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 1024
 
 # '%.12e' of a finite v != 0 is [-]D.DDDDDDDDDDDDe(+|-)XX[X]: the 13 digits
 # of M = round(|v| 10^(12-e)), 1e12 <= M < 1e13.  _format_block computes M

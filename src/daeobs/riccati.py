@@ -12,9 +12,12 @@ The solver pre-transforms to a standard problem with feedback
 F_hat = -(D^T S D)^{-1} D^T S C and input scaling (D^T S D)^{-1/2}, solves
 it by structure-preserving doubling (a Cayley transform of the Hamiltonian
 pencil, then doubling steps of n x n LU and matrix products only), and
-polishes the result with Newton-Kleinman steps until the residual passes
-tolerance.  A non-finite iterate or a Newton step whose Lyapunov solve
-LAPACK had to perturb ends the solve with InternalConsistencyError.
+polishes the result with Newton-Kleinman steps in correction form (a
+Lyapunov solve for the increment from the residual; Benner & Byers 1998)
+until the residual passes tolerance.  Without inputs (k = 0), G = 0 and
+the same steps solve the Lyapunov equation.  A non-finite iterate, a
+stalled polish or a Newton step whose Lyapunov solve LAPACK had to
+perturb ends the solve with InternalConsistencyError.
 Stabilizability of (A_l, B_l) is the only existence condition; the solve
 checks it itself before anything else (an ordered real Schur form splits
 off the safely stable modes, a controllability staircase tests the rest),
@@ -177,8 +180,9 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
     :class:`NotStabilizableError`.  The returned P is the
     stabilizing positive-semidefinite solution (positive definite whenever
     the running cost is observable, which holds for every system built
-    from weights Q > 0).  The residual, closed-loop stability and P >= 0
-    are enforced on every path, including the k = 0 Lyapunov solve.
+    from weights Q > 0).  Every input count, k = 0 included, takes the
+    one path of doubling and Newton polish, which enforces the residual,
+    closed-loop stability and P >= 0.
     """
     A = as_matrix(A_l, "A_l")
     B = as_matrix(B_l, "B_l")
@@ -194,55 +198,49 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
                                np.zeros(0, complex), {"are_residual": (0.0, are_tol)})
 
     CSC = symmetrize(C.T @ S @ C)
-    if k == 0:
-        P = symmetrize(solve_continuous_lyapunov(A.T, -CSC))
-        K = np.zeros((0, n))
-        residual = float(np.linalg.norm(P @ A + A.T @ P + CSC))
-    else:
-        W = symmetrize(D.T @ S @ D)
-        try:
-            W_isqrt = require_spd(W, "input-weight block D_l' S D_l")[1]
-        except NotPositiveDefiniteError as exc:
-            raise InternalConsistencyError(str(exc)) from exc
-        Winv = W_isqrt @ W_isqrt
-        F_hat = -Winv @ (D.T @ S @ C)
-        A_bar = A + B @ F_hat
-        G = symmetrize(B @ Winv @ B.T)
-        Cq = C + D @ F_hat
-        Q_bar = symmetrize(Cq.T @ S @ Cq)
+    W = symmetrize(D.T @ S @ D)
+    try:
+        W_isqrt = require_spd(W, "input-weight block D_l' S D_l")[1]
+    except NotPositiveDefiniteError as exc:
+        raise InternalConsistencyError(str(exc)) from exc
+    Winv = W_isqrt @ W_isqrt
+    F_hat = -Winv @ (D.T @ S @ C)
+    A_bar = A + B @ F_hat
+    G = symmetrize(B @ Winv @ B.T)
+    Cq = C + D @ F_hat
+    Q_bar = symmetrize(Cq.T @ S @ Cq)
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            P = _doubling(A_bar, G, Q_bar)
-            smallest, stale = np.inf, 0
-            for _ in range(MAX_REFINE):
-                K = Winv @ (B.T @ P + D.T @ S @ C)
-                res_mat = P @ A + A.T @ P - K.T @ W @ K + CSC
-                residual = float(np.linalg.norm(res_mat))
-                P_norm = float(np.linalg.norm(P))
-                if not np.isfinite(residual + P_norm):
-                    raise InternalConsistencyError(
-                        "Riccati refinement diverged to a non-finite P or residual")
-                stale = 0 if residual < smallest else stale + 1
-                smallest = min(smallest, residual)
-                if residual <= are_tol * (1.0 + P_norm) or stale == 2:
-                    break
-                # a Lyapunov solve LAPACK had to perturb (two eigenvalues of
-                # A - B K summing to about 0) cannot continue the iteration
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", RuntimeWarning)
-                    try:
-                        P = symmetrize(solve_continuous_lyapunov(
-                            (A - B @ K).T, -(Q_bar + P @ G @ P)))
-                    except (RuntimeWarning, ValueError) as exc:
-                        raise InternalConsistencyError(
-                            f"Riccati refinement: Newton step failed: {exc}") from exc
-            if residual > are_tol * (1.0 + P_norm):
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _doubling(A_bar, G, Q_bar)
+        smallest, stale = np.inf, 0
+        for _ in range(MAX_REFINE):
+            K = Winv @ (B.T @ P + D.T @ S @ C)
+            res_mat = P @ A + A.T @ P - K.T @ W @ K + CSC
+            residual = float(np.linalg.norm(res_mat))
+            P_norm = float(np.linalg.norm(P))
+            if not np.isfinite(residual + P_norm):
                 raise InternalConsistencyError(
-                    f"Riccati refinement stalled at residual {residual:.3e}"
-                )
-
-    P_tol = are_tol * (1.0 + float(np.linalg.norm(P)))
-    checks = {"are_residual": require("Riccati residual", residual, P_tol)}
+                    "Riccati refinement diverged to a non-finite P or residual")
+            P_tol = are_tol * (1.0 + P_norm)
+            stale = 0 if residual < smallest else stale + 1
+            smallest = min(smallest, residual)
+            if residual <= P_tol or stale == 2:
+                break
+            # a Lyapunov solve LAPACK had to perturb (two eigenvalues of
+            # A - B K summing to about 0) cannot continue the iteration
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    P = P + symmetrize(solve_continuous_lyapunov(
+                        (A - B @ K).T, -symmetrize(res_mat)))
+                except (RuntimeWarning, ValueError) as exc:
+                    raise InternalConsistencyError(
+                        f"Riccati refinement: Newton step failed: {exc}") from exc
+    if residual > P_tol:
+        raise InternalConsistencyError(
+            f"Riccati refinement stalled at residual {residual:.3e}"
+        )
+    checks = {"are_residual": (residual, P_tol)}
     spectrum = np.linalg.eigvals(A - B @ K)
     max_re = float(np.max(spectrum.real))
     if max_re >= 0:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dae import DaeSystem
 from .errors import ConsistencyError, InputError
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, symmetrize
 from .lti import AssociatedLti, ConstructionRecord, construct, output_trajectory_from_v0
 from .observer import EstimationProblem, Observer
 from .riccati import LqWeights
@@ -189,17 +189,11 @@ def finite_horizon_infimum(lti: AssociatedLti, w: LqWeights, E, v0,
         lti.A_l, lti.B_l, lti.C_l, lti.D_l, w.S(), h
     )
     ECs = E @ lti.C_s
-    P = ECs.T @ w.Q0 @ ECs
-    P = 0.5 * (P + P.T)
-    k = lti.k
+    P = symmetrize(ECs.T @ w.Q0 @ ECs)
     for _ in range(n_steps):
-        if k:
-            Ru = Rd + Gamma.T @ P @ Gamma
-            Su = Nd + Phi.T @ P @ Gamma
-            P = Qd + Phi.T @ P @ Phi - Su @ np.linalg.solve(Ru, Su.T)
-        else:
-            P = Qd + Phi.T @ P @ Phi
-        P = 0.5 * (P + P.T)
+        Ru = Rd + Gamma.T @ P @ Gamma
+        Su = Nd + Phi.T @ P @ Gamma
+        P = symmetrize(Qd + Phi.T @ P @ Phi - Su @ np.linalg.solve(Ru, Su.T))
     return float(v0 @ P @ v0)
 
 

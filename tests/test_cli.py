@@ -111,8 +111,8 @@ class TestSolveLq:
         assert run_cli(["solve-lq", path, "--output", tmp_path / "r.json"]) == 2
 
     def test_no_input_residual_is_enforced(self, tmp_path):
-        # k = 0: P comes from a Lyapunov solve, whose residual must pass
-        # are_tol like the Newton-polished one does.
+        # k = 0 takes the doubling and Newton polish of every solve: at
+        # are_tol 1e-300 the polish stalls and the solve exits 12.
         doc = {
             "problem": "control",
             "matrices": {

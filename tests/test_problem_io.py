@@ -181,9 +181,10 @@ class TestCsv:
         write_csv(str(path), ["a", "b", "i"], columns)
         assert path.read_bytes() == csv_rows_loop(["a", "b", "i"], columns)
 
+    # edges after several full blocks: one row short, exact, one row over
     @pytest.mark.parametrize("length", [
-        0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
-        3 * CSV_BLOCK_ROWS + 7])
+        0, 1, 4 * CSV_BLOCK_ROWS - 1, 4 * CSV_BLOCK_ROWS, 4 * CSV_BLOCK_ROWS + 1,
+        12 * CSV_BLOCK_ROWS + 7])
     def test_block_edges_match_row_loop(self, tmp_path, length):
         rng = np.random.default_rng(length)
         header = ["t", "x", "y"]
