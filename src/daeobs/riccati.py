@@ -19,9 +19,9 @@ the same steps solve the Lyapunov equation.  A non-finite iterate, a
 stalled polish or a Newton step whose Lyapunov solve LAPACK had to
 perturb ends the solve with InternalConsistencyError.
 Stabilizability of (A_l, B_l) is the only existence condition; the solve
-checks it itself before anything else (an ordered real Schur form splits
-off the safely stable modes, a controllability staircase tests the rest),
-so every caller gets the same decision.  The terminal weight Q0 does not
+checks it itself before anything else (a controllability staircase on the
+whole pair, then eigenvalues of the unreached block only), so every
+caller gets the same decision.  The terminal weight Q0 does not
 enter the equation because the optimal closed loop drives the state to
 zero.
 
@@ -40,7 +40,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur, solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_lyapunov
 from scipy.linalg.lapack import dgetrf, dgetri
 
 from .errors import (
@@ -127,21 +127,18 @@ class DynamicController:
 
 
 def is_stabilizable(A_l, B_l) -> bool:
-    """Whether every mode of A_l that is not safely stable is controllable.
+    """Whether every uncontrollable mode of (A_l, B_l) is safely stable.
 
-    One ordered real Schur form A_l = Z T Z' puts first the modes with
-    Re lambda < -PBH_EIG_MARGIN * max(1, |lambda|), a margin per eigenvalue.
-    The left eigenvectors of the other modes are [0, w2] in these
-    coordinates, so the pair is stabilizable exactly when the trailing
-    (T22, Z2' B_l) is controllable.  Paige's staircase decides that: it
-    compresses B by an orthogonal change of basis and passes the part of
-    T22 that B does not reach on as the next pair, until a step reaches
-    nothing (not stabilizable) or nothing is left.  Every cut is scaled by
+    Paige's staircase runs on the whole pair: it compresses B by an
+    orthogonal change of basis and passes the part of A that B does not
+    reach on as the next pair, with the reached part's coupling into it
+    as the next B.  When nothing is left the pair is controllable.  When a
+    step reaches nothing, the remaining block holds exactly the unreached
+    modes, and the pair is stabilizable iff each of them has
+    Re lambda < -PBH_EIG_MARGIN * max(1, |lambda|), a margin per
+    eigenvalue; only that block gets eigenvalues.  Every cut is scaled by
     the shape of [A_l, B_l] and floored by max(||A_l||, ||B_l||), so a mode
-    at 0 that B_l reaches only through roundoff counts as unreached.  When
-    LAPACK cannot separate the modes across the margin (ill-conditioned
-    clusters on it), the decision is undefined and
-    :class:`InternalConsistencyError` is raised.
+    at 0 that B_l reaches only through roundoff counts as unreached.
     """
     A = as_matrix(A_l, "A_l")
     B = as_matrix(B_l, "B_l")
@@ -150,19 +147,12 @@ def is_stabilizable(A_l, B_l) -> bool:
         raise InputError("A_l must be square and B_l must match its rows")
     shape = (n, n + B.shape[1])
     scale = max(float(np.linalg.norm(A)), float(np.linalg.norm(B)))
-    try:
-        T, Z, n_stable = schur(
-            A, output="real",
-            sort=lambda re, im: re < -PBH_EIG_MARGIN * max(1.0, float(np.hypot(re, im))))
-    except np.linalg.LinAlgError as exc:
-        raise InternalConsistencyError(
-            f"stable/unstable Schur split of A_l failed: {exc}") from exc
-    A, B = T[n_stable:, n_stable:], Z[:, n_stable:].T @ B
     while A.shape[0]:
         U, s, _ = _svd(B)
         k = _rank(s, shape, STAIRCASE_RANK_TOL, scale)
         if k == 0:
-            return False
+            lam = np.linalg.eigvals(A)
+            return bool(np.all(lam.real < -PBH_EIG_MARGIN * np.maximum(1.0, np.abs(lam))))
         A = U.T @ A @ U
         A, B = A[k:, k:], A[k:, :k]
     return True
@@ -268,13 +258,18 @@ def _doubling(A, G, Q) -> np.ndarray:
     of the Hamiltonian [[A, -G], [-Q, -A']] into the unit disk and writes
     its pencil in the standard symplectic form (E, G, H).  Each doubling
     step squares those eigenvalues, so E -> 0 and H -> X quadratically;
-    it stops when ||dH||_1 <= SDA_TOL ||H||_1 or after SDA_MAX_STEPS.  A
-    shift at which A - gamma I or K = (A - gamma I)' + Q (A - gamma I)^{-1} G
-    has an LU pivot below SHIFT_PIVOT_RATIO of its largest is doubled.
+    it stops when ||dH||_1 <= SDA_TOL ||H||_1 or after SDA_MAX_STEPS.  The
+    shift starts at max(||A||_F, sqrt(||G||_F ||Q||_F)) / sqrt(n): by
+    Schur's inequality ||A||_F / sqrt(n) bounds the RMS eigenvalue of A,
+    which the shift should match, while ||A||_F alone is about sqrt(n)
+    times too large and costs steps.  A shift at which A - gamma I or
+    K = (A - gamma I)' + Q (A - gamma I)^{-1} G has an LU pivot below
+    SHIFT_PIVOT_RATIO of its largest is doubled.
     """
-    I = np.eye(A.shape[0])
+    n = A.shape[0]
+    I = np.eye(n)
     gamma = max(float(np.linalg.norm(A)),
-                float(np.sqrt(np.linalg.norm(G) * np.linalg.norm(Q))))
+                float(np.sqrt(np.linalg.norm(G) * np.linalg.norm(Q)))) / np.sqrt(n)
     for _ in range(SHIFT_RETRIES):
         Ai = _lu_inverse(A - gamma * I, SHIFT_PIVOT_RATIO)
         Ki = None if Ai is None else _lu_inverse(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from daeobs import DaeSystem, LqWeights, construct, solve_are
+from daeobs import DaeSystem, LqWeights, construct, riccati, solve_are
 from daeobs.dae import canonical_form_from_transforms
 from daeobs.riccati import is_stabilizable
 
@@ -27,6 +27,22 @@ def random_dae(rng: np.random.Generator, n: int, m: int, r: int) -> DaeSystem:
     s[:r] = rng.uniform(0.5, 2.0, r)
     E = U @ np.diag(s) @ V.T
     return DaeSystem(E, rng.standard_normal((n, n)), rng.standard_normal((n, m)))
+
+
+@pytest.fixture
+def doubling_steps(monkeypatch) -> list[int]:
+    """Gets one entry per doubling step of every Riccati solve in the test:
+    a step inverts I + G H through ``riccati._lu_inverse`` without a pivot
+    guard, while the Cayley shift's two LUs pass SHIFT_PIVOT_RATIO."""
+    steps = []
+    lu_inverse = riccati._lu_inverse
+
+    def counted(M, min_pivot_ratio):
+        if min_pivot_ratio == 0.0:
+            steps.append(M.shape[0])
+        return lu_inverse(M, min_pivot_ratio)
+    monkeypatch.setattr(riccati, "_lu_inverse", counted)
+    return steps
 
 
 def cf_from_blocks(A_tilde, G, C_tilde, D_tilde, m: int):

@@ -176,6 +176,43 @@ def pbh_stabilizable(A, B, rank_tol: float = 1e-9, margin: float = 1e-9) -> bool
     return True
 
 
+def schur_staircase_stabilizable(A, B) -> bool:
+    """Reference stabilizability decision with the Schur split first.
+
+    One ordered real Schur form A = Z T Z' puts first the modes with
+    Re lambda < -PBH_EIG_MARGIN * max(1, |lambda|).  The left eigenvectors
+    of the other modes are [0, w2] in these coordinates, so the pair is
+    stabilizable exactly when the trailing (T22, Z2' B) is controllable,
+    which Paige's staircase decides with the library's cut and floor.
+    Raises ``InternalConsistencyError`` when LAPACK cannot reorder the
+    modes across the margin."""
+    from scipy.linalg import schur
+
+    from daeobs.errors import InternalConsistencyError
+    from daeobs.riccati import PBH_EIG_MARGIN, STAIRCASE_RANK_TOL
+
+    A, B = as_matrix(A), as_matrix(B)
+    n = A.shape[0]
+    shape = (n, n + B.shape[1])
+    scale = max(float(np.linalg.norm(A)), float(np.linalg.norm(B)))
+    try:
+        T, Z, n_stable = schur(
+            A, output="real",
+            sort=lambda re, im: re < -PBH_EIG_MARGIN * max(1.0, float(np.hypot(re, im))))
+    except np.linalg.LinAlgError as exc:
+        raise InternalConsistencyError(
+            f"stable/unstable Schur split of A failed: {exc}") from exc
+    A, B = T[n_stable:, n_stable:], Z[:, n_stable:].T @ B
+    while A.shape[0]:
+        U, s, _ = _svd(B)
+        k = _rank(s, shape, STAIRCASE_RANK_TOL, scale)
+        if k == 0:
+            return False
+        A = U.T @ A @ U
+        A, B = A[k:, k:], A[k:, :k]
+    return True
+
+
 def hamiltonian_schur_are(A, B, C, D, S) -> np.ndarray:
     """Reference stabilizing Riccati solution by Laub's (1979) Schur
     method, without refinement: pre-transform with

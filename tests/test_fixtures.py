@@ -133,6 +133,27 @@ def _shifted(loaded, eps):
     return lti.A_l, lambda: solve_are(lti, prob.weights)
 
 
+# Doubling steps of each problem's Riccati solve at eps = 0 and over
+# EPS_SWEEP, with the Cayley shift max(||A_bar||_F, sqrt(||G||_F ||Q_bar||_F))
+# not yet divided by sqrt(n).  ctrl_algebraic (n_hat = 0) and est_undetectable
+# (not stabilizable) never reach the doubling.
+SHIFTS = (0.0,) + EPS_SWEEP
+UNSCALED_SHIFT_STEPS = {
+    "ctrl_ode.json": (5,) * 9,
+    "ctrl_rank1.json": (1, 1, 1, 36, 36, 35, 33, 32, 31),
+    "est_classical.json": (5,) * 9,
+    "est_rank1.json": (4, 4, 4, 37, 37, 36, 34, 34, 33),
+}
+
+
+@pytest.mark.parametrize("eps", SHIFTS)
+@pytest.mark.parametrize("problem", sorted(UNSCALED_SHIFT_STEPS))
+def test_doubling_takes_no_more_steps_than_the_unscaled_shift(
+        problem, eps, doubling_steps):
+    _shifted(load_problem(str(data_path(problem))), eps)[1]()
+    assert 0 < len(doubling_steps) <= UNSCALED_SHIFT_STEPS[problem][SHIFTS.index(eps)]
+
+
 @pytest.mark.parametrize("eps", EPS_SWEEP)
 @pytest.mark.parametrize("problem", sorted({fx.problem for fx in FIXTURES.values()}))
 def test_descriptor_shift_keeps_the_outcome_class(problem, eps):
