@@ -29,16 +29,7 @@ from scipy.linalg import block_diag, expm
 
 from .dae import ObservedDae, dual_dae, same_system
 from .errors import InestimableError, InputError, NotStabilizableError
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    _pinv,
-    _rank,
-    _svd,
-    as_matrix,
-    as_vector,
-    require_spd,
-    symmetrize,
-)
+from .linalg import DEFAULT_RANK_TOL, as_vector, require_spd, symmetrize
 from .lti import ConstructionRecord, construct
 from .riccati import (
     DEFAULT_ARE_TOL,
@@ -121,30 +112,22 @@ def _spd_inverse(M, name: str) -> np.ndarray:
     return symmetrize(R @ R)
 
 
-def q0_bar(F, Q0, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Terminal weight of the adjoint control problem.
+def q0_bar(rec: ConstructionRecord, Q0) -> np.ndarray:
+    """Terminal weight of the adjoint control problem on its reduced state.
 
-    With U an orthonormal basis of ker F^T, the correction
-    d* = Lambda_opt w minimizes (F^T+ w - d)^T Q0^{-1} (F^T+ w - d) over
-    {d : F^T d = 0}, where Lambda_opt = U (U^T Q0^{-1} U)^{-1} U^T Q0^{-1} F^T+
-    (zero when ker F^T is trivial).  Then
-    Q0_bar = (F^T+ - Lambda_opt)^T Q0^{-1} (F^T+ - Lambda_opt) is symmetric
-    positive semidefinite, and w^T Q0_bar w is that constrained minimum.
+    For w in Im F^T the paper's weight is w^T Q0_bar w = min{x^T Q0^{-1} x :
+    F^T x = w}.  ``rec`` reduces the adjoint, whose E = F^T factors as
+    S^{-1}[:, :r] Z with Z = (S E)[:r] the first r rows of T^{-1}, and
+    E C_s = S^{-1}[:, :r] W with W the V* basis.  So w = E C_s v holds
+    exactly when Z x = W v, and the minimum is v^T W^T (Z Q0 Z^T)^{-1} W v:
+    one r x r solve for any legal (S, T), with no rank decision and no
+    inverse of Q0.  ``Q0`` must already be validated by
+    :func:`daeobs.linalg.require_spd`.
     """
-    F = as_matrix(F, "F")
-    Q0inv = _spd_inverse(Q0, "Q0")
-    n = F.shape[0]
-    if F.shape != (n, n) or Q0inv.shape[0] != n:
-        raise InputError("F must be square and Q0 of matching size")
-    # F^T+ and ker F^T from one SVD (kernel_basis treats F = 0 as all of R^n).
-    Us, s, Vt = _svd(F.T)
-    rank = _rank(s, F.shape, rank_tol)
-    Ftp = _pinv(Us, s, Vt, rank)
-    U = Vt[rank:].T.copy() if np.any(F) else np.eye(n)
-    D = Ftp
-    if U.shape[1]:
-        D = Ftp - U @ np.linalg.solve(U.T @ Q0inv @ U, U.T @ Q0inv @ Ftp)
-    return symmetrize(D.T @ Q0inv @ D)
+    cf = rec.cf
+    Z = cf.S[:cf.r] @ cf.sys.E
+    W = rec.V.basis
+    return symmetrize(W.T @ np.linalg.solve(Z @ Q0 @ Z.T, W))
 
 
 @dataclass(frozen=True)
@@ -153,6 +136,8 @@ class ObserverSynthesis:
 
     Produced once per (F, A, H, Q0, Q, R); :meth:`for_ell` specializes it
     to a target functional, recomputing only the output row and sigma.
+    ``Q0_bar`` is the n_hat x n_hat terminal weight of :func:`q0_bar`,
+    which only :func:`worst_case_bound` reads.
     """
 
     obs: ObservedDae
@@ -172,8 +157,8 @@ class ObserverSynthesis:
         return self.dual.lti.X.contains_vector(self.obs.F.T @ ell)
 
     def _output_row(self, ell) -> np.ndarray:
-        """ell^T F Lambda^T; raises :class:`InestimableError` unless ell
-        is estimable."""
+        """ell^T F Lambda^T, which is also v*(0) = Lambda F^T ell; raises
+        :class:`InestimableError` unless ell is estimable."""
         if not self.is_estimable(ell):
             raise InestimableError(
                 "functional is not estimable: the adjoint DAE has no "
@@ -181,17 +166,20 @@ class ObserverSynthesis:
             )
         return (as_vector(ell, "ell") @ self.obs.F) @ self.ctrl.B_c.T
 
-    def worst_case_error(self, ell) -> float:
-        """sigma = ell^T F Lambda^T P Lambda F^T ell for an estimable ell."""
-        row = self._output_row(ell)
+    def _sigma(self, row: np.ndarray) -> float:
         return max(float(row @ self.ricc.P @ row), 0.0)
 
+    def worst_case_error(self, ell) -> float:
+        """sigma = ell^T F Lambda^T P Lambda F^T ell for an estimable ell."""
+        return self._sigma(self._output_row(ell))
+
     def for_ell(self, ell) -> Observer:
+        row = self._output_row(ell)
         return Observer(
             A_o=self.ctrl.A_c.T.copy(),
             B_o=self.ctrl.C_u.T.copy(),
-            C_o=self._output_row(ell).reshape(1, -1),
-            sigma=self.worst_case_error(ell),
+            C_o=row.reshape(1, -1),
+            sigma=self._sigma(row),
             P=self.ricc.P,
             Lambda=self.ctrl.B_c,
         )
@@ -206,10 +194,11 @@ def synthesize_estimator(obs: ObservedDae, Q0, Q, R,
     ``dual_record`` lets callers inject an alternative (e.g. randomized)
     reduction of the adjoint system; every choice yields the same sigma.
     """
-    Q0_bar = q0_bar(obs.F, Q0, rank_tol)
+    Q0 = require_spd(Q0, "Q0")[0]
     Q_inv = _spd_inverse(Q, "Q")
     R_inv = _spd_inverse(R, "R")
-    if Q_inv.shape[0] != obs.n or R_inv.shape[0] != obs.p:
+    n = obs.n
+    if Q0.shape[0] != n or Q_inv.shape[0] != n or R_inv.shape[0] != obs.p:
         raise InputError("weight sizes do not match the observed system")
     adj = dual_dae(obs)
     rec = dual_record if dual_record is not None else construct(adj, rank_tol)
@@ -225,8 +214,8 @@ def synthesize_estimator(obs: ObservedDae, Q0, Q, R,
             "stabilizable (detectability-type existence condition fails)"
         ) from exc
     ctrl = assemble_controller(lti, ricc, adj.E)
-    return ObserverSynthesis(obs=obs, Q0_bar=Q0_bar, dual=rec, ricc=ricc,
-                             ctrl=ctrl)
+    return ObserverSynthesis(obs=obs, Q0_bar=q0_bar(rec, Q0), dual=rec,
+                             ricc=ricc, ctrl=ctrl)
 
 
 def synthesize(prob: EstimationProblem,
@@ -245,16 +234,17 @@ def worst_case_bound(synth: ObserverSynthesis, ell, t1: float) -> float:
     at most sigma plus the terminal cost of the adjoint optimal trajectory,
     which decays with the closed-loop modes:
 
-        bound = sigma + v*(t1)^T (E C_s)^T Q0_bar (E C_s) v*(t1),
-        v*(t) = e^{A_c t} B_c F^T ell.
+        bound = sigma + v*(t1)^T Q0_bar v*(t1),
+        v*(t) = e^{A_c t} B_c F^T ell,
+
+    with Q0_bar the reduced terminal weight of :func:`q0_bar`.  Raises
+    :class:`InputError` unless t1 is finite and nonnegative.
     """
-    ell = as_vector(ell, "ell")
-    sigma = synth.worst_case_error(ell)
-    ctrl = synth.ctrl
+    if not 0.0 <= t1 < np.inf:
+        raise InputError(f"t1 must be finite and nonnegative, got {t1}")
+    row = synth._output_row(ell)
+    sigma = synth._sigma(row)
     if synth.n_hat == 0:
         return sigma
-    v0 = ctrl.B_c @ (synth.obs.F.T @ ell)
-    vt = expm(ctrl.A_c * t1) @ v0
-    ECs = synth.obs.F.T @ synth.dual.lti.C_s
-    gap = float(vt @ (ECs.T @ synth.Q0_bar @ ECs) @ vt)
-    return sigma + max(gap, 0.0)
+    vt = expm(synth.ctrl.A_c * t1) @ row
+    return sigma + max(float(vt @ synth.Q0_bar @ vt), 0.0)

@@ -16,8 +16,18 @@ from scipy.linalg import expm, solve_continuous_are
 
 from daeobs.dae import DaeSystem, ObservedDae
 from daeobs.errors import ConsistencyError, InputError
-from daeobs.linalg import DEFAULT_RANK_TOL, Subspace, _rank, _svd, as_matrix, as_vector
+from daeobs.linalg import (
+    DEFAULT_RANK_TOL,
+    Subspace,
+    _pinv,
+    _rank,
+    _svd,
+    as_matrix,
+    as_vector,
+    symmetrize,
+)
 from daeobs.lti import AssociatedLti, output_trajectory_from_v0
+from daeobs.observer import _spd_inverse
 from daeobs.riccati import LqWeights, RiccatiSolution
 from daeobs.signals import SampledSignal, quadratic_form_series, simpson
 
@@ -353,6 +363,34 @@ def kkt_constrained_min(a: np.ndarray, Q0: np.ndarray, F: np.ndarray):
     d = sol[:n]
     val = float((a - d) @ Q0inv @ (a - d))
     return d, val
+
+
+def q0_bar_reference(F, Q0, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Terminal weight of the adjoint control problem on the full space,
+    from its own SVD of F^T: the n x n Q0_bar with
+    w^T Q0_bar w = min{x^T Q0^{-1} x : F^T x = w} for w in Im F^T.
+
+    With U an orthonormal basis of ker F^T, the correction
+    d* = Lambda_opt w minimizes (F^T+ w - d)^T Q0^{-1} (F^T+ w - d) over
+    {d : F^T d = 0}, where Lambda_opt = U (U^T Q0^{-1} U)^{-1} U^T Q0^{-1} F^T+
+    (zero when ker F^T is trivial).  Then
+    Q0_bar = (F^T+ - Lambda_opt)^T Q0^{-1} (F^T+ - Lambda_opt) is symmetric
+    positive semidefinite, and w^T Q0_bar w is that constrained minimum.
+    """
+    F = as_matrix(F, "F")
+    Q0inv = _spd_inverse(Q0, "Q0")
+    n = F.shape[0]
+    if F.shape != (n, n) or Q0inv.shape[0] != n:
+        raise InputError("F must be square and Q0 of matching size")
+    # F^T+ and ker F^T from one SVD (kernel_basis treats F = 0 as all of R^n).
+    Us, s, Vt = _svd(F.T)
+    rank = _rank(s, F.shape, rank_tol)
+    Ftp = _pinv(Us, s, Vt, rank)
+    U = Vt[rank:].T.copy() if np.any(F) else np.eye(n)
+    D = Ftp
+    if U.shape[1]:
+        D = Ftp - U @ np.linalg.solve(U.T @ Q0inv @ U, U.T @ Q0inv @ Ftp)
+    return symmetrize(D.T @ Q0inv @ D)
 
 
 def adversarial_error_lower_bound(prob, obsv, t1: float, step: float,

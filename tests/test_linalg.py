@@ -19,7 +19,6 @@ from daeobs.linalg import (
     pseudoinverse,
     require_spd,
 )
-from daeobs.observer import q0_bar
 from daeobs.problem_io import load_problem, matrix_to_json
 
 from .oracles import image_basis, penrose_defects
@@ -146,13 +145,16 @@ def _observed(k):
 
 
 # A positive definite weight M (k x k) enters as R of a 2-state observed
-# DAE with k outputs, as Q0 of q0_bar, and as R of LqWeights.
+# DAE with k outputs, as Q0 of a k-state observed DAE, and as R of
+# LqWeights.
 SPD_ENTRIES = {
     "EstimationProblem": lambda M, tmp: EstimationProblem(
         _observed(len(M)), np.eye(2), np.eye(2), M, np.ones(2)),
     "synthesize_estimator": lambda M, tmp: synthesize_estimator(
         _observed(len(M)), np.eye(2), np.eye(2), M),
-    "q0_bar": lambda M, tmp: q0_bar(np.eye(len(M)), M),
+    "synthesize_estimator-Q0": lambda M, tmp: synthesize_estimator(
+        ObservedDae(np.eye(len(M)), -np.eye(len(M)), np.ones((1, len(M)))),
+        M, np.eye(len(M)), np.eye(1)),
     "LqWeights": lambda M, tmp: LqWeights(Q=np.eye(2), R=M, Q0=np.eye(2)),
     "load_problem": lambda M, tmp: _load(
         tmp, "estimation", F=np.eye(2), A=-np.eye(2), H=np.eye(len(M), 2),

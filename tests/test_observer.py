@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from daeobs import (
     EstimationProblem,
@@ -12,6 +13,7 @@ from daeobs import (
     synthesize_estimator,
 )
 from daeobs.dae import dual_dae
+from daeobs.equivalence import randomized_construction
 from daeobs.fixtures import data_path
 from daeobs.linalg import pseudoinverse
 from daeobs.observer import q0_bar, worst_case_bound
@@ -21,7 +23,12 @@ from daeobs.signals import SampledSignal, uniform_grid
 from daeobs.simulate import run_observer
 
 from .conftest import random_dae, random_spd
-from .oracles import classical_filter, kkt_constrained_min, observer_kernel
+from .oracles import (
+    classical_filter,
+    kkt_constrained_min,
+    observer_kernel,
+    q0_bar_reference,
+)
 
 A_CL = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [-0.3, 0.0, -1.5]])
 H_CL = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
@@ -33,29 +40,47 @@ def classical_problem(ell=(1.0, 0.0, 0.0)):
                              np.asarray(ell))
 
 
+def adjoint_reduction(F, rng):
+    """Reduction of the adjoint of an observed DAE with this F (random A
+    and one random output) and E C_s, which maps its reduced state v to
+    w = F^T x in the adjoint's consistency space."""
+    n = len(F)
+    obs = ObservedDae(F, rng.standard_normal((n, n)),
+                      rng.standard_normal((1, n)))
+    rec = construct(dual_dae(obs))
+    return rec, F.T @ rec.lti.C_s
+
+
 class TestLambdaOpt:
-    """The optimal initial-state correction inside q0_bar: for each w,
-    w' q0_bar w must equal the KKT minimum over {d : F' d = 0} of
-    (F'+ w - d)' Q0^{-1} (F'+ w - d)."""
+    """The optimal initial-state correction behind q0_bar: for each
+    w = (E C_s) v, v' q0_bar v must equal the KKT minimum over
+    {d : F' d = 0} of (F'+ w - d)' Q0^{-1} (F'+ w - d)."""
 
     def test_invertible_F_gives_zero(self):
         # ker F' is trivial: no correction, the minimum is |F'^{-1} w|^2
         rng = np.random.default_rng(0)
         F = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-        Qb = q0_bar(F, np.eye(3))
+        rec, ECs = adjoint_reduction(F, rng)
+        assert rec.V.dim == 3
+        Qb = q0_bar(rec, np.eye(3))
         Ftp = pseudoinverse(F.T)
         for _ in range(3):
-            w = rng.standard_normal(3)
+            v = rng.standard_normal(rec.V.dim)
+            w = ECs @ v
             d_star, val = kkt_constrained_min(Ftp @ w, np.eye(3), F)
             assert np.linalg.norm(d_star) <= 1e-12
-            assert abs(float(w @ Qb @ w) - val) <= 1e-12
+            assert abs(float(v @ Qb @ v) - val) <= 1e-12
 
     def test_zero_F(self):
-        # ker F^T is everything but F^T+ = 0, so the minimum is zero
-        Qb = q0_bar(np.zeros((2, 2)), np.eye(2))
-        for w in (np.array([1.0, 0.0]), np.array([0.3, -2.0])):
-            _, val = kkt_constrained_min(np.zeros(2), np.eye(2), np.zeros((2, 2)))
-            assert float(w @ Qb @ w) == val == 0.0
+        # ker F^T is everything and the reduced state is empty: w = 0 and
+        # the minimum is zero
+        F = np.zeros((2, 2))
+        rec, ECs = adjoint_reduction(F, np.random.default_rng(1))
+        Qb = q0_bar(rec, np.eye(2))
+        assert Qb.shape == (0, 0)
+        v = np.zeros(0)
+        _, val = kkt_constrained_min(ECs @ v, np.eye(2), F)
+        assert float(v @ Qb @ v) == val == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_kkt_oracle(self, seed):
@@ -64,53 +89,154 @@ class TestLambdaOpt:
         # random singular F
         F = rng.standard_normal((n, 2)) @ rng.standard_normal((2, n))
         Q0 = random_spd(rng, n)
-        Qb = q0_bar(F, Q0)
+        rec, ECs = adjoint_reduction(F, rng)
+        assert rec.V.dim == 2
+        Qb = q0_bar(rec, Q0)
         Ftp = pseudoinverse(F.T)
         for _ in range(3):
-            z0 = rng.standard_normal(n)
-            w = F.T @ z0
+            v = rng.standard_normal(rec.V.dim)
+            w = ECs @ v
             d_star, val = kkt_constrained_min(Ftp @ w, Q0, F)
-            assert abs(float(w @ Qb @ w) - val) <= 1e-8 * (1 + np.linalg.norm(d_star))
+            assert abs(float(v @ Qb @ v) - val) <= 1e-8 * (1 + np.linalg.norm(d_star))
 
     def test_rank_one_structured(self):
         F = np.array([[1.0, 0.0], [0.0, 0.0]])
         Q0 = np.diag([2.0, 3.0])
-        Qb = q0_bar(F, Q0)
+        rec, ECs = adjoint_reduction(F, np.random.default_rng(2))
+        assert rec.V.dim == 1
+        Qb = q0_bar(rec, Q0)
         # ker F^T = span(e2); F^T+ maps onto span(e1): correction stays zero
         Ftp = pseudoinverse(F.T)
-        for w in (np.array([1.0, 0.0]), np.array([0.3, 0.0])):
-            d_star, val = kkt_constrained_min(Ftp @ w, Q0, F)
+        for v in (np.array([1.0]), np.array([0.3])):
+            d_star, val = kkt_constrained_min(Ftp @ ECs @ v, Q0, F)
             assert np.linalg.norm(d_star) <= 1e-12
-            assert abs(float(w @ Qb @ w) - val) <= 1e-12
+            assert abs(float(v @ Qb @ v) - val) <= 1e-12
         # with Q0 = I the kernel projector annihilates Im F^T+ entirely
-        Qb = q0_bar(F, np.eye(2))
-        for w in (np.array([1.0, 0.0]), np.array([0.3, 0.7])):
-            _, val = kkt_constrained_min(Ftp @ w, np.eye(2), F)
-            assert abs(float(w @ Qb @ w) - val) <= 1e-14
+        Qb = q0_bar(rec, np.eye(2))
+        for v in (np.array([1.0]), np.array([-0.7])):
+            _, val = kkt_constrained_min(Ftp @ ECs @ v, np.eye(2), F)
+            assert abs(float(v @ Qb @ v) - val) <= 1e-14
 
 
 class TestQ0Bar:
     def test_identity(self):
-        np.testing.assert_allclose(q0_bar(np.eye(2), np.eye(2)), np.eye(2),
-                                   atol=1e-12)
+        # F = Q0 = I: the weight is (E C_s)' (E C_s), the identity on the
+        # orthonormal V* basis of an ODE
+        rec, ECs = adjoint_reduction(np.eye(2), np.random.default_rng(3))
+        Qb = q0_bar(rec, np.eye(2))
+        np.testing.assert_allclose(Qb, ECs.T @ ECs, atol=1e-12)
+        np.testing.assert_allclose(Qb, np.eye(2), atol=1e-12)
 
     def test_zero_F(self):
-        assert np.linalg.norm(q0_bar(np.zeros((2, 2)), np.eye(2))) == 0.0
+        rec, _ = adjoint_reduction(np.zeros((2, 2)), np.random.default_rng(4))
+        assert np.linalg.norm(q0_bar(rec, np.eye(2))) == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_constrained_minimum(self, seed):
         rng = np.random.default_rng(1100 + seed)
         F = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))
         Q0 = random_spd(rng, 3)
-        Qb = q0_bar(F, Q0)
+        rec, ECs = adjoint_reduction(F, rng)
+        assert rec.V.dim == 2
+        Qb = q0_bar(rec, Q0)
         Ftp = pseudoinverse(F.T)
         for _ in range(3):
-            w = F.T @ rng.standard_normal(3)
-            _, val = kkt_constrained_min(Ftp @ w, Q0, F)
-            assert abs(float(w @ Qb @ w) - val) <= 1e-8 * (1 + val)
+            v = rng.standard_normal(rec.V.dim)
+            _, val = kkt_constrained_min(Ftp @ ECs @ v, Q0, F)
+            assert abs(float(v @ Qb @ v) - val) <= 1e-8 * (1 + val)
         # symmetric PSD
         assert np.linalg.norm(Qb - Qb.T) <= 1e-12
         assert np.min(np.linalg.eigvalsh(Qb)) >= -1e-12
+
+
+def weight_case(name: str):
+    """(obs, Q0, Q, R, ell, dual_record) for the terminal-weight cases: the
+    estimation fixtures, observer draws shaped like the benchmark ladder
+    (p = n/4), F = 0, and randomized adjoint reductions, whose (S, T) are
+    not orthogonal."""
+    kind, _, arg = name.partition(":")
+    if kind == "fixture":
+        prob = load_problem(str(data_path(f"{arg}.json"))).problem
+        return prob.obs, prob.Q0, prob.Q, prob.R, prob.ell, None
+    if kind == "ladder":
+        n, rank_f = (int(a) for a in arg.split("/"))
+        rng = np.random.default_rng([n, rank_f])
+        sys = random_dae(rng, n, n // 4, rank_f)
+        obs = ObservedDae(sys.E, sys.A_hat, sys.B_hat.T.copy())
+        return (obs, random_spd(rng, n), random_spd(rng, n),
+                random_spd(rng, n // 4), rng.standard_normal(n), None)
+    if kind == "zero":
+        rng = np.random.default_rng(7)
+        obs = ObservedDae(np.zeros((3, 3)), -np.eye(3),
+                          rng.standard_normal((2, 3)))
+        return (obs, random_spd(rng, 3), random_spd(rng, 3), np.eye(2),
+                rng.standard_normal(3), None)
+    base, seed = arg.split("@")
+    obs, Q0, Q, R, ell, _ = weight_case(base)
+    rec = randomized_construction(construct(dual_dae(obs)),
+                                  np.random.default_rng(int(seed)))
+    return obs, Q0, Q, R, ell, rec
+
+
+WEIGHT_CASES = (
+    ["fixture:est_classical", "fixture:est_rank1"]
+    + [f"ladder:{n}/{r}" for n in (10, 40, 160) for r in (n // 2, n)]
+    + ["zero:"]
+    + [f"randomized:{base}@{seed}" for base in ("fixture:est_rank1",
+                                                 "ladder:10/5")
+       for seed in range(3)]
+)
+
+
+def reference_bound(synth, Q0, ell, t1: float) -> float:
+    """The finite-horizon bound through the full-space weight of
+    q0_bar_reference, read through (E C_s), with v*(0) = B_c F^T ell."""
+    F = synth.obs.F
+    ECs = F.T @ synth.dual.lti.C_s
+    weight = ECs.T @ q0_bar_reference(F, Q0) @ ECs
+    vt = expm(synth.ctrl.A_c * t1) @ (synth.ctrl.B_c @ (F.T @ ell))
+    return synth.worst_case_error(ell) + max(float(vt @ weight @ vt), 0.0)
+
+
+class TestTerminalWeight:
+    """The reduced terminal weight W' (Z Q0 Z')^{-1} W against the
+    full-space weight of the SVD reference, read as (E C_s)' Q0_bar (E C_s),
+    and the finite-horizon bound built on it."""
+
+    @pytest.mark.parametrize("name", WEIGHT_CASES)
+    def test_matches_full_space_reference(self, name):
+        obs, Q0, Q, R, ell, rec = weight_case(name)
+        synth = synthesize_estimator(obs, Q0, Q, R, dual_record=rec)
+        ECs = obs.F.T @ synth.dual.lti.C_s
+        ref = ECs.T @ q0_bar_reference(obs.F, Q0) @ ECs
+        assert synth.Q0_bar.shape == (synth.n_hat, synth.n_hat)
+        assert np.linalg.norm(synth.Q0_bar - ref) <= \
+            1e-12 * np.linalg.norm(ref)
+        for t1 in (0.0, 0.5, 2.0, 15.0):
+            want = reference_bound(synth, Q0, ell, t1)
+            assert abs(worst_case_bound(synth, ell, t1) - want) <= 1e-12 * want
+
+    def test_cuts_F_once(self, monkeypatch):
+        # the weight is read off the adjoint's canonical form, so the SVD
+        # of E = F' there is the synthesis's only one of F'
+        obs, Q0, Q, R, _, _ = weight_case("ladder:40/20")
+        seen = []
+        svd = np.linalg.svd
+
+        def recording(M, *args, **kwargs):
+            seen.append(np.array_equal(M, obs.F.T))
+            return svd(M, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        synthesize_estimator(obs, Q0, Q, R)
+        assert sum(seen) == 1
+
+    @pytest.mark.parametrize("t1", [-2.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_bound_needs_a_finite_nonnegative_horizon(self, t1):
+        prob = load_problem(str(data_path("est_classical.json"))).problem
+        synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R)
+        assert worst_case_bound(synth, prob.ell, 0.0) >= synth.worst_case_error(prob.ell)
+        with pytest.raises(InputError, match="t1"):
+            worst_case_bound(synth, prob.ell, t1)
 
 
 class TestSynthesize:
