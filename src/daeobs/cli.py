@@ -39,7 +39,7 @@ from .errors import (
     NotStabilizableError,
 )
 from .lti import construct
-from .observer import synthesize_estimator, worst_case_bound
+from .observer import estimator_synthesis, worst_case_bound
 from .problem_io import (
     ControlProblem,
     LoadedProblem,
@@ -77,13 +77,6 @@ def _control_system(loaded: LoadedProblem):
     return dual_dae(loaded.problem.obs)
 
 
-def _synthesize(prob, opts: SolverOptions):
-    """Synthesize an estimation problem's observer for its functional."""
-    synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R,
-                                 rank_tol=opts.rank_tol, are_tol=opts.are_tol)
-    return synth, synth.for_ell(prob.ell)
-
-
 def _dimensions(rec, input_name: str = "m") -> dict:
     """Sizes of a reduction, the DAE's input count named ``input_name``."""
     lti = rec.lti
@@ -103,7 +96,9 @@ def _checks(*steps) -> dict:
 # loaded problem, the merged options and the parsed arguments.
 
 def _synthesize_observer(loaded: LoadedProblem, opts: SolverOptions, args):
-    synth, obsv = _synthesize(loaded.problem, opts)
+    prob = loaded.problem
+    synth = estimator_synthesis(prob, opts.rank_tol, opts.are_tol)
+    obsv = synth.for_ell(prob.ell)
     result = {
         "A_o": matrix_to_json(obsv.A_o),
         "B_o": matrix_to_json(obsv.B_o),
@@ -162,7 +157,8 @@ def _simulate(loaded: LoadedProblem, opts: SolverOptions, args):
         raise InputError("--runs must be at least 1")
     make_output_dir(args.output_dir)
     prob = loaded.problem
-    synth, obsv = _synthesize(prob, opts)
+    synth = estimator_synthesis(prob, opts.rank_tol, opts.are_tol)
+    obsv = synth.for_ell(prob.ell)
     t1 = opts.horizon
     bound = worst_case_bound(synth, prob.ell, t1) + 1e-6
     runs = []

@@ -92,6 +92,8 @@ def dual_dae(obs: ObservedDae) -> DaeSystem:
 
 def same_system(s1: DaeSystem, s2: DaeSystem) -> bool:
     """Whether two DAE systems have equal shapes and close matrices."""
+    if s1 is s2:
+        return True
     pairs = ((s1.E, s2.E), (s1.A_hat, s2.A_hat), (s1.B_hat, s2.B_hat))
     return all(a.shape == b.shape and np.allclose(a, b) for a, b in pairs)
 

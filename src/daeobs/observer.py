@@ -22,7 +22,7 @@ no solution on the whole time axis and no minimax observer exists for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag, expm
@@ -42,19 +42,24 @@ from .riccati import (
 
 @dataclass(frozen=True)
 class EstimationProblem:
-    """Observed DAE, ellipsoid weights and the target functional ell."""
+    """Observed DAE, ellipsoid weights and the target functional ell.
+
+    The one place the weights are decided; ``X`` = diag(Q^{-1}, R^{-1}) is
+    the adjoint's running weight, formed from those same decisions.
+    """
 
     obs: ObservedDae
     Q0: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     ell: np.ndarray
+    X: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, p = self.obs.n, self.obs.p
         Q0 = require_spd(self.Q0, "Q0")[0]
-        Q = require_spd(self.Q, "Q")[0]
-        R = require_spd(self.R, "R")[0]
+        Q, Q_isqrt = require_spd(self.Q, "Q")
+        R, R_isqrt = require_spd(self.R, "R")
         ell = as_vector(self.ell, "ell")
         if Q0.shape[0] != n or Q.shape[0] != n:
             raise InputError("Q0 and Q must be n x n")
@@ -62,10 +67,11 @@ class EstimationProblem:
             raise InputError("R must be p x p")
         if ell.size != n:
             raise InputError(f"ell must have length {n}")
-        object.__setattr__(self, "Q0", Q0)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "ell", ell)
+        X = block_diag(symmetrize(Q_isqrt @ Q_isqrt),
+                       symmetrize(R_isqrt @ R_isqrt))
+        for name, value in (("Q0", Q0), ("Q", Q), ("R", R), ("ell", ell),
+                            ("X", X)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -105,13 +111,6 @@ class Observer:
         return np.linalg.eigvals(self.A_o) if self.A_o.size else np.zeros(0, complex)
 
 
-def _spd_inverse(M, name: str) -> np.ndarray:
-    """M^{-1} of a weight validated by :func:`require_spd`, formed from
-    its inverse square root."""
-    R = require_spd(M, name)[1]
-    return symmetrize(R @ R)
-
-
 def q0_bar(rec: ConstructionRecord, Q0) -> np.ndarray:
     """Terminal weight of the adjoint control problem on its reduced state.
 
@@ -121,8 +120,8 @@ def q0_bar(rec: ConstructionRecord, Q0) -> np.ndarray:
     E C_s = S^{-1}[:, :r] W with W the V* basis.  So w = E C_s v holds
     exactly when Z x = W v, and the minimum is v^T W^T (Z Q0 Z^T)^{-1} W v:
     one r x r solve for any legal (S, T), with no rank decision and no
-    inverse of Q0.  ``Q0`` must already be validated by
-    :func:`daeobs.linalg.require_spd`.
+    inverse of Q0.  ``Q0`` must already be decided, as
+    :class:`EstimationProblem` does.
     """
     cf = rec.cf
     Z = cf.S[:cf.r] @ cf.sys.E
@@ -185,46 +184,49 @@ class ObserverSynthesis:
         )
 
 
-def synthesize_estimator(obs: ObservedDae, Q0, Q, R,
-                         rank_tol: float = DEFAULT_RANK_TOL,
-                         are_tol: float = DEFAULT_ARE_TOL,
-                         dual_record: ConstructionRecord | None = None) -> ObserverSynthesis:
-    """Run the adjoint reduction and Riccati solve shared by all functionals.
+def estimator_synthesis(prob: EstimationProblem,
+                        rank_tol: float = DEFAULT_RANK_TOL,
+                        are_tol: float = DEFAULT_ARE_TOL,
+                        dual_record: ConstructionRecord | None = None) -> ObserverSynthesis:
+    """Run the adjoint reduction and Riccati solve shared by all functionals
+    on the weights ``prob`` has decided.
 
     ``dual_record`` lets callers inject an alternative (e.g. randomized)
     reduction of the adjoint system; every choice yields the same sigma.
     """
-    Q0 = require_spd(Q0, "Q0")[0]
-    Q_inv = _spd_inverse(Q, "Q")
-    R_inv = _spd_inverse(R, "R")
-    n = obs.n
-    if Q0.shape[0] != n or Q_inv.shape[0] != n or R_inv.shape[0] != obs.p:
-        raise InputError("weight sizes do not match the observed system")
-    adj = dual_dae(obs)
+    adj = dual_dae(prob.obs)
     rec = dual_record if dual_record is not None else construct(adj, rank_tol)
     if dual_record is not None and not same_system(rec.sys, adj):
         raise InputError("dual_record was not built from the adjoint system")
     lti = rec.lti
     try:
-        ricc = solve_are_blocks(lti.A_l, lti.B_l, lti.C_l, lti.D_l,
-                                block_diag(Q_inv, R_inv), are_tol)
+        ricc = solve_are_blocks(lti.A_l, lti.B_l, lti.C_l, lti.D_l, prob.X,
+                                are_tol)
     except NotStabilizableError as exc:
         raise NotStabilizableError(
             "the linear system associated with the adjoint DAE is not "
             "stabilizable (detectability-type existence condition fails)"
         ) from exc
     ctrl = assemble_controller(lti, ricc, adj.E)
-    return ObserverSynthesis(obs=obs, Q0_bar=q0_bar(rec, Q0), dual=rec,
-                             ricc=ricc, ctrl=ctrl)
+    return ObserverSynthesis(obs=prob.obs, Q0_bar=q0_bar(rec, prob.Q0),
+                             dual=rec, ricc=ricc, ctrl=ctrl)
+
+
+def synthesize_estimator(obs: ObservedDae, Q0, Q, R,
+                         rank_tol: float = DEFAULT_RANK_TOL,
+                         are_tol: float = DEFAULT_ARE_TOL,
+                         dual_record: ConstructionRecord | None = None) -> ObserverSynthesis:
+    """:func:`estimator_synthesis` for raw weights, which
+    :class:`EstimationProblem` decides with the zero functional."""
+    prob = EstimationProblem(obs, Q0, Q, R, np.zeros(obs.n))
+    return estimator_synthesis(prob, rank_tol, are_tol, dual_record)
 
 
 def synthesize(prob: EstimationProblem,
                rank_tol: float = DEFAULT_RANK_TOL,
                are_tol: float = DEFAULT_ARE_TOL) -> Observer:
     """Minimax observer for the problem's functional ell."""
-    synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R,
-                                 rank_tol, are_tol)
-    return synth.for_ell(prob.ell)
+    return estimator_synthesis(prob, rank_tol, are_tol).for_ell(prob.ell)
 
 
 def worst_case_bound(synth: ObserverSynthesis, ell, t1: float) -> float:

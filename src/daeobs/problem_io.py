@@ -133,6 +133,12 @@ def _reject_constant(token: str):
     raise ProblemFileError(f"problem file contains non-finite number: {token}")
 
 
+def _is_number(value, types=(int, float)) -> bool:
+    """Whether a decoded JSON value is a number of ``types``; JSON's true
+    and false decode to bool, a subclass of int, and are not numbers."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _matrix_from_json(obj, name: str) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ProblemFileError(f"matrix '{name}' must be an object")
@@ -140,17 +146,19 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
         if key not in obj:
             raise ProblemFileError(f"matrix '{name}' is missing '{key}'")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    if not (_is_number(rows, int) and _is_number(cols, int)) or min(rows, cols) < 0:
         raise ProblemFileError(f"matrix '{name}' has invalid dimensions")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ProblemFileError(
             f"matrix '{name}' data length {len(data) if isinstance(data, list) else '?'}"
             f" does not equal rows*cols = {rows * cols}"
         )
+    if not all(map(_is_number, data)):
+        raise ProblemFileError(f"matrix '{name}' has non-numeric data")
     try:
         arr = np.array(data, dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"matrix '{name}' has non-numeric data") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ProblemFileError(f"matrix '{name}' contains non-finite entries") from exc
     if arr.size and not np.all(np.isfinite(arr)):
         raise ProblemFileError(f"matrix '{name}' contains non-finite entries")
     return arr
@@ -177,11 +185,11 @@ def _options_from_json(obj) -> SolverOptions:
     fields = {}
     for key, value in obj.items():
         if isinstance(getattr(opts, key), int):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_number(value, int):
                 raise ProblemFileError(f"option '{key}' must be an integer")
             fields[key] = value
         else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 raise ProblemFileError(f"option '{key}' must be a number")
             fields[key] = float(value)
     return replace(opts, **fields).validated()

@@ -83,8 +83,8 @@ def uniform_grid(t1: float, step: float) -> np.ndarray:
     """Uniform grid on [0, t1] with the step rounded to divide t1 exactly."""
     if t1 < 0 or not np.isfinite(t1):
         raise InputError("horizon must be a nonnegative finite number")
-    if step <= 0:
-        raise InputError("step must be positive")
+    if not 0 < step < np.inf:
+        raise InputError(f"step must be finite and positive, got {step}")
     n = max(1, int(round(t1 / step))) if t1 > 0 else 1
     return np.linspace(0.0, t1, n + 1) if t1 > 0 else np.array([0.0])
 

@@ -172,8 +172,8 @@ def finite_horizon_infimum(lti: AssociatedLti, w: LqWeights, E, v0,
     """
     if n_steps < 2:
         raise InputError("n_steps must be at least 2")
-    if t1 <= 0:
-        raise InputError("t1 must be positive")
+    if not 0 < t1 < np.inf:
+        raise InputError(f"t1 must be finite and positive, got {t1}")
     v0 = as_vector(v0, "v0")
     if v0.size != lti.n_hat:
         raise InputError(f"v0 must have length {lti.n_hat}")

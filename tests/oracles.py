@@ -24,10 +24,10 @@ from daeobs.linalg import (
     _svd,
     as_matrix,
     as_vector,
+    require_spd,
     symmetrize,
 )
 from daeobs.lti import AssociatedLti, output_trajectory_from_v0
-from daeobs.observer import _spd_inverse
 from daeobs.riccati import LqWeights, RiccatiSolution
 from daeobs.signals import SampledSignal, quadratic_form_series, simpson
 
@@ -378,7 +378,8 @@ def q0_bar_reference(F, Q0, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     positive semidefinite, and w^T Q0_bar w is that constrained minimum.
     """
     F = as_matrix(F, "F")
-    Q0inv = _spd_inverse(Q0, "Q0")
+    Q0_isqrt = require_spd(Q0, "Q0")[1]
+    Q0inv = symmetrize(Q0_isqrt @ Q0_isqrt)
     n = F.shape[0]
     if F.shape != (n, n) or Q0inv.shape[0] != n:
         raise InputError("F must be square and Q0 of matching size")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from daeobs import DaeSystem, InputError, ObservedDae
-from daeobs.dae import canonical_form, dual_dae
+from daeobs.dae import canonical_form, dual_dae, same_system
 
 from .conftest import random_dae
 from .oracles import induced_observed
@@ -22,6 +22,20 @@ class TestContainers:
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
             DaeSystem(np.array([[np.inf, 0], [0, 1.0]]), np.eye(2), np.zeros((2, 1)))
+
+    def test_same_system_compares_no_matrix_of_one_object(self, monkeypatch):
+        sys = random_dae(np.random.default_rng(3), 4, 2, 2)
+        copy = DaeSystem(sys.E.copy(), sys.A_hat.copy(), sys.B_hat.copy())
+        moved = DaeSystem(sys.E, sys.A_hat + 1e-3, sys.B_hat)
+        wider = DaeSystem(sys.E, sys.A_hat, np.hstack([sys.B_hat, sys.B_hat]))
+        calls = []
+        allclose = np.allclose
+        monkeypatch.setattr(np, "allclose",
+                            lambda *a, **k: calls.append(1) or allclose(*a, **k))
+        assert same_system(sys, sys) and not calls
+        assert same_system(sys, copy) and len(calls) == 3
+        assert not same_system(sys, moved)
+        assert not same_system(sys, wider)
 
 
 class TestDual:

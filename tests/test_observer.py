@@ -12,6 +12,7 @@ from daeobs import (
     synthesize,
     synthesize_estimator,
 )
+from daeobs.cli import main
 from daeobs.dae import dual_dae
 from daeobs.equivalence import randomized_construction
 from daeobs.fixtures import data_path
@@ -38,6 +39,22 @@ def classical_problem(ell=(1.0, 0.0, 0.0)):
     obs = ObservedDae(np.eye(3), A_CL, H_CL)
     return EstimationProblem(obs, np.eye(3), np.eye(3), np.eye(2),
                              np.asarray(ell))
+
+
+def count_symmetric_eigs(monkeypatch) -> list:
+    """Record the name of every np.linalg.eigh / eigvalsh call from now on."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+    return calls
 
 
 def adjoint_reduction(F, rng):
@@ -356,22 +373,28 @@ class TestSynthesize:
         # one symmetric eigendecomposition each for Q0, Q, R, D_l' S D_l
         # and the P >= 0 check: the adjoint weights duality builds from
         # them are positive by construction and are not decided again
-        calls = []
-
-        def counting(fn):
-            def wrapped(M, *args, **kwargs):
-                calls.append(np.shape(M))
-                return fn(M, *args, **kwargs)
-            return wrapped
-
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        calls = count_symmetric_eigs(monkeypatch)
         rng = np.random.default_rng(4)
         sys = random_dae(rng, 40, 10, 20)
         obs = ObservedDae(sys.E, sys.A_hat, sys.B_hat.T.copy())
         synthesize_estimator(obs, random_spd(rng, 40), random_spd(rng, 40),
                              random_spd(rng, 10))
         assert len(calls) == 5
+
+    def test_decides_a_loaded_problem_once(self, monkeypatch, tmp_path):
+        # loading decides Q0, Q and R (three eigh); the synthesis of the
+        # loaded problem adds only D_l' S D_l (eigh) and P >= 0 (eigvalsh),
+        # through synthesize and through the CLI alike
+        path = str(data_path("est_rank1.json"))
+        calls = count_symmetric_eigs(monkeypatch)
+        prob = load_problem(path).problem
+        assert calls == ["eigh"] * 3
+        synthesize(prob)
+        assert calls == ["eigh"] * 4 + ["eigvalsh"]
+        calls.clear()
+        assert main(["synthesize-observer", path,
+                     "-o", str(tmp_path / "obs.json")]) == 0
+        assert calls == ["eigh"] * 4 + ["eigvalsh"]
 
 
 class TestSigmaMagnitude:

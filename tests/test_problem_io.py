@@ -71,6 +71,41 @@ class TestLoadProblem:
         with pytest.raises(ProblemFileError, match="non-finite"):
             load_problem(str(path))
 
+    @pytest.mark.parametrize("entry", ["1.5", True, False, None, [1.0]],
+                             ids=["string", "true", "false", "null", "list"])
+    def test_rejects_entries_that_are_not_numbers(self, tmp_path, entry):
+        doc = minimal_estimation_doc()
+        doc["matrices"]["A"]["data"] = [entry]
+        with pytest.raises(ProblemFileError, match="'A' has non-numeric data"):
+            load_problem(write_doc(tmp_path, doc))
+
+    def test_string_entry_exits_1(self, tmp_path, capsys):
+        doc = minimal_estimation_doc()
+        doc["matrices"]["A"]["data"] = ["-1.0"]
+        out = str(tmp_path / "report.json")
+        assert main(["synthesize-observer", write_doc(tmp_path, doc),
+                     "-o", out]) == 1
+        assert "non-numeric data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_rejects_boolean_dimensions(self, tmp_path, key):
+        doc = minimal_estimation_doc()
+        doc["matrices"]["A"][key] = True
+        with pytest.raises(ProblemFileError, match="'A' has invalid dimensions"):
+            load_problem(write_doc(tmp_path, doc))
+
+    def test_accepts_integer_entries(self, tmp_path):
+        doc = minimal_estimation_doc()
+        doc["matrices"]["A"]["data"] = [-2]
+        A = load_problem(write_doc(tmp_path, doc)).problem.obs.A
+        assert A.dtype == float and A[0, 0] == -2.0
+
+    def test_rejects_integer_beyond_float_range(self, tmp_path):
+        doc = minimal_estimation_doc()
+        doc["matrices"]["A"]["data"] = [-10 ** 400]
+        with pytest.raises(ProblemFileError, match="'A' contains non-finite"):
+            load_problem(write_doc(tmp_path, doc))
+
     def test_rejects_non_spd_q0(self, tmp_path):
         doc = minimal_estimation_doc()
         doc["matrices"]["Q0"]["data"] = [-1.0]

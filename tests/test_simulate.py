@@ -69,6 +69,11 @@ class TestSampleAdmissible:
         rho_trap = float(r.x0 @ prob.Q0 @ r.x0 + trapezoid(running, r.f.grid))
         assert abs(rho_trap - r.rho) <= 1e-6
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_rejects_a_step_that_is_not_positive_and_finite(self, step):
+        with pytest.raises(InputError, match="step must be finite and positive"):
+            sample_admissible(classical_problem(), 1.0, 0, step=step)
+
     def test_noise_is_consistent_for_the_dae(self):
         # f produced through the parametrization solves the DAE exactly:
         # the induced x0 always lies in the consistency space
@@ -112,6 +117,13 @@ class TestFiniteHorizonInfimum:
                 for n in (50, 100, 200, 400)]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-12
+
+    @pytest.mark.parametrize("t1", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_needs_a_positive_finite_horizon(self, t1):
+        prob_sys, w, rec, rs = _scalar_instance()
+        with pytest.raises(InputError, match="t1 must be finite and positive"):
+            finite_horizon_infimum(rec.lti, w, prob_sys.E, np.array([1.0]),
+                                   t1, 100)
 
     def test_refinement_consistency(self, reduced_instance_pool):
         sys, w, rec, rs = reduced_instance_pool[2]
