@@ -179,9 +179,11 @@ def canonical_form_from_transforms(sys: DaeSystem, S, T,
     """Build a canonical form from caller-supplied transforms S, T and the
     rank r of E they normalize.
 
-    The pair must satisfy S E T = diag(I_r, 0); this is checked, and the
-    rank is not decided again.  Used for exercising alternative (e.g.
-    randomized) coordinate choices, which all lead to feedback-equivalent
+    The pair must be invertible and satisfy S E T = diag(I_r, 0); both are
+    checked, and the rank is not decided again.  A transform counts as
+    singular when its 1-norm condition number (from an LU inverse, no
+    SVD) reaches 1/eps.  Used for exercising alternative (e.g. randomized)
+    coordinate choices, which all lead to feedback-equivalent
     constructions downstream.
     """
     S = as_matrix(S, "S")
@@ -189,6 +191,9 @@ def canonical_form_from_transforms(sys: DaeSystem, S, T,
     n = sys.n
     if S.shape != (n, n) or T.shape != (n, n):
         raise InputError("S and T must be square of the system dimension")
+    cond = max(np.linalg.cond(S, 1), np.linalg.cond(T, 1)) if n else 1.0
+    if not cond < 1 / np.finfo(float).eps:
+        raise InputError("S and T must be invertible")
     if not 0 <= r <= n:
         raise InputError(f"rank r = {r} is outside 0..{n}")
     D = S @ sys.E @ T

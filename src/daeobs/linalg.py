@@ -85,12 +85,6 @@ def _rank(s: np.ndarray, shape, rank_tol: float, scale: float = 0.0) -> int:
     return int(np.sum(s > rank_tol * max(smax, scale) * max(shape[0], shape[1], 1)))
 
 
-def numerical_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    M = as_matrix(M)
-    _, s, _ = _svd(M)
-    return _rank(s, M.shape, rank_tol)
-
-
 def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL,
                   scale: float = 0.0) -> np.ndarray:
     """Moore-Penrose pseudoinverse with an explicit rank cut-off.

@@ -12,8 +12,8 @@ C_inp v + D_inp g), are exactly the DAE's trajectory pairs:
   with Lambda (E x(t)) = v(t) along every trajectory.
 
 Structural identities enforced on every build: E D_s = 0,
-rank(E C_s) = n_hat, Lambda (E C_s) = I, rank(D_l) = k.  The measured
-defects of the first three are kept in ``ConstructionRecord.checks``.
+rank(E C_s) = n_hat, Lambda (E C_s) = I.  Their measured defects are kept
+in ``ConstructionRecord.checks``.
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ import numpy as np
 from .dae import CanonicalForm, DaeSystem, canonical_form
 from .errors import IDENTITY_TOL, InputError, require
 from .geometric import OutputNullingData, output_nulling
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    Subspace,
-    _pinv,
-    _rank,
-    _svd,
-    as_vector,
-    numerical_rank,
-)
+from .linalg import DEFAULT_RANK_TOL, Subspace, _pinv, _rank, _svd, as_vector
 from .signals import SampledSignal, integrate_lti
 
 
@@ -110,7 +102,6 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData,
     W = ond.V.basis
     n_hat = ond.V.dim
     F_tilde, L = ond.F_tilde, ond.L
-    k = ond.k
 
     Acl = cf.A_tilde + cf.G @ F_tilde
     GL = cf.G @ L
@@ -125,7 +116,7 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData,
 
     # Output map [x; u] = Cbar p + Dbar w in original coordinates.
     C_l = _lift(cf, np.eye(r), F_tilde) @ W
-    D_l = _lift(cf, np.zeros((r, k)), L)
+    D_l = _lift(cf, np.zeros((r, ond.k)), L)
     C_s, C_inp = C_l[:n, :], C_l[n:, :]
     D_s, D_inp = D_l[:n, :], D_l[n:, :]
 
@@ -144,7 +135,6 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData,
             "Lambda (E C_s) = I", np.linalg.norm(Lambda @ ECs - np.eye(n_hat)),
             IDENTITY_TOL * 2.0),
     }
-    require("rank(D_l) = k", k - numerical_rank(D_l, rank_tol), 0)
     X = Subspace(U[:, :rank].copy())
 
     lti = AssociatedLti(

@@ -191,7 +191,10 @@ def _options_from_json(obj) -> SolverOptions:
         else:
             if not _is_number(value):
                 raise ProblemFileError(f"option '{key}' must be a number")
-            fields[key] = float(value)
+            try:
+                fields[key] = float(value)
+            except OverflowError as exc:  # an integer beyond the float range
+                raise ProblemFileError(f"option '{key}' is out of range") from exc
     return replace(opts, **fields).validated()
 
 

@@ -16,6 +16,7 @@ only error source is the input discretization itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -88,6 +89,13 @@ def _rho(prob: EstimationProblem, x0: np.ndarray, f: SampledSignal,
     return float(x0 @ prob.Q0 @ x0 + simpson(f.grid, running))
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generator of a seed, which must be a nonnegative integer."""
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def sample_admissible(prob: EstimationProblem, t1: float, seed: int,
                       step: float = DEFAULT_STEP,
                       record: ConstructionRecord | None = None) -> NoiseRealization:
@@ -98,7 +106,7 @@ def sample_admissible(prob: EstimationProblem, t1: float, seed: int,
     sqrt(rho) is uniform on [0, 1].  Deterministic under the seed.  Scaling
     is exact because rho is homogeneous of degree two.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     rec = record if record is not None else construct(noise_system(prob))
     lti = rec.lti
     grid = uniform_grid(t1, step)
@@ -126,7 +134,7 @@ def clean_realization(prob: EstimationProblem, t1: float, seed: int,
     Drawn through the input-free reduction, so the trajectory solves
     d(Fx)/dt = A x exactly; x0 is normalized to unit length when nonzero.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     rec = record if record is not None \
         else construct(noise_system(prob, noisy=False))
     lti = rec.lti

@@ -422,6 +422,29 @@ class TestParser:
             load_problem(str(path)).options.rank_tol
 
 
+class TestCoarseRankTol:
+    """k is decided once, by the rank cut on K = [D~; (I - P_V) G]; the
+    orthonormal L and D_l are not cut again.  Where a coarse --rank-tol
+    leaves that cut and the others where the default puts them, the
+    outcome is the default's."""
+
+    @pytest.mark.parametrize("command", ["synthesize-observer", "associated-lti"])
+    def test_classical_at_0_3_matches_the_default(self, tmp_path, command):
+        path = data_path("est_classical.json")
+        coarse, default = tmp_path / "coarse.json", tmp_path / "default.json"
+        assert run_cli([command, path, "-o", coarse, "--rank-tol", "0.3"]) == 0
+        assert run_cli([command, path, "-o", default]) == 0
+        coarse, default = (json.loads(p.read_text())["result"]
+                           for p in (coarse, default))
+        assert coarse["dimensions"] == default["dimensions"]
+        assert coarse.get("sigma") == default.get("sigma")
+
+    @pytest.mark.parametrize("rank_tol", ["0.5", "0.7", "0.9"])
+    def test_undetectable_stays_not_stabilizable(self, tmp_path, rank_tol):
+        assert run_cli(["synthesize-observer", data_path("est_undetectable.json"),
+                        "-o", tmp_path / "r.json", "--rank-tol", rank_tol]) == 2
+
+
 class TestCommandTable:
     # The problem kind each command takes; None takes either (an
     # estimation file through its adjoint).

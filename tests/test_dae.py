@@ -105,6 +105,29 @@ class TestCanonicalForm:
         with pytest.raises(InputError, match="do not normalize"):
             canonical_form_from_transforms(sys, S, np.eye(2), 2)
 
+    @pytest.mark.parametrize("name,singular", [
+        ("ctrl_rank1.json", "T"), ("ctrl_rank1.json", "S"),
+        ("ctrl_algebraic.json", "T"), ("ctrl_algebraic.json", "S"),
+    ])
+    def test_from_transforms_rejects_singular_transforms(self, name, singular):
+        """Zeroing T's last n - r columns, or S's last n - r rows, keeps
+        S E T = diag(I_r, 0); a singular S would drop the algebraic
+        equations (ctrl_rank1 would reduce with k = 2 instead of 1,
+        ctrl_algebraic with k = 3 instead of 1)."""
+        from daeobs.dae import canonical_form_from_transforms
+        from daeobs.fixtures import data_path
+        from daeobs.problem_io import load_problem
+        sys = load_problem(data_path(name)).problem.sys
+        cf = canonical_form(sys)
+        S, T = cf.S.copy(), cf.T.copy()
+        if singular == "S":
+            S[cf.r:] = 0.0
+        else:
+            T[:, cf.r:] = 0.0
+        with pytest.raises(InputError, match="must be invertible"):
+            canonical_form_from_transforms(sys, S, T, cf.r)
+        canonical_form_from_transforms(sys, cf.S, cf.T, cf.r)
+
     def test_from_transforms_checks_the_callers_rank(self):
         from daeobs.dae import canonical_form_from_transforms
         sys = DaeSystem(np.diag([1.0, 0.0]), np.array([[1.0, 2.0], [3.0, 4.0]]),

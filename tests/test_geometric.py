@@ -303,6 +303,21 @@ class TestFriend:
         F = friend(cf, V, input_kernel_matrix(cf, V))
         assert np.linalg.norm(F) <= 1e-12
 
+    def test_checks_feasibility_without_inputs(self):
+        """With q_dim = 0 the friend is empty, and its residual is the
+        invariance defect of V: a V that A_tilde does not map into itself
+        fails the check instead of passing unchecked."""
+        from daeobs.linalg import Subspace
+        cf = cf_from_blocks(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                            np.zeros((2, 0)), np.zeros((0, 2)),
+                            np.zeros((0, 0)), m=0)
+        assert cf.q_dim == 0
+        L = np.zeros((0, 0))
+        assert friend(cf, Subspace(np.eye(2)), L).shape == (0, 2)
+        assert friend(cf, Subspace(np.array([[1.0], [0.0]])), L).shape == (0, 2)
+        with pytest.raises(InternalConsistencyError, match="friend feasibility"):
+            friend(cf, Subspace(np.array([[0.0], [1.0]])), L)
+
     @pytest.mark.parametrize("rank_tol", [0.01, 0.15, 0.3])
     def test_matches_the_pseudoinverse_reference(self, rank_tol, monkeypatch):
         """On est_rank1's adjoint the cuts at 0.15 and 0.3 drop a real
@@ -322,7 +337,8 @@ class TestFriend:
 
     def test_reads_the_cut_of_L(self, monkeypatch):
         """The friend takes no SVD and makes no rank cut: one construct of
-        ctrl_rank1 runs 6 SVDs, none of them inside the friend."""
+        ctrl_rank1 runs 4 SVDs, none of them inside the friend, and L's
+        rank is not decided again after the cut that fixed k."""
         from daeobs import geometric, linalg
         from daeobs.problem_io import load_problem
         inside, svd_calls, rank_calls = [False], [], []
@@ -348,7 +364,7 @@ class TestFriend:
             monkeypatch.setattr(mod, "_rank", counted(rank_calls, mod._rank))
         rec = construct(sys)
         assert rec.V.dim and rec.cf.q_dim
-        assert len(svd_calls) == 6
+        assert len(svd_calls) == 4
         assert not any(svd_calls) and not any(rank_calls)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -359,7 +375,13 @@ class TestFriend:
         cf = canonical_form(sys)
         data = output_nulling(cf)
         scale = 1 + np.linalg.norm(cf.A_tilde) + np.linalg.norm(cf.G)
-        for name, value in data.defects(cf).items():
+        # defects() covers L; the friend's two identities are measured here
+        W, Pp = data.V.basis, data.V.perp_projector()
+        defects = dict(
+            data.defects(cf),
+            invariance=np.linalg.norm(Pp @ (cf.A_tilde + cf.G @ data.F_tilde) @ W),
+            output_zeroing=np.linalg.norm((cf.C_tilde + cf.D_tilde @ data.F_tilde) @ W))
+        for name, value in defects.items():
             assert value <= 1e-9 * scale, (name, value)
 
 

@@ -106,6 +106,17 @@ class TestLoadProblem:
         with pytest.raises(ProblemFileError, match="'A' contains non-finite"):
             load_problem(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize("key", ["horizon", "rank_tol"])
+    def test_rejects_float_option_beyond_float_range(self, tmp_path, capsys, key):
+        with open(data_path("ctrl_ode.json")) as fh:
+            doc = json.load(fh)
+        doc.setdefault("options", {})[key] = 10 ** 400
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(ProblemFileError, match=f"'{key}' is out of range"):
+            load_problem(path)
+        assert main(["solve-lq", path, "-o", str(tmp_path / "r.json")]) == 1
+        assert "out of range" in capsys.readouterr().err
+
     def test_rejects_non_spd_q0(self, tmp_path):
         doc = minimal_estimation_doc()
         doc["matrices"]["Q0"]["data"] = [-1.0]

@@ -31,6 +31,14 @@ from .oracles import optimal_cost
 from .test_observer import classical_problem
 
 
+@pytest.mark.parametrize("draw", [sample_admissible, clean_realization])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_draws_reject_a_seed_that_is_not_a_nonnegative_integer(draw, seed):
+    prob = classical_problem()
+    with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+        draw(prob, 1.0, seed=seed)
+
+
 class TestSampleAdmissible:
     def test_deterministic_under_seed(self):
         prob = classical_problem()
