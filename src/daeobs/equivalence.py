@@ -219,4 +219,4 @@ def randomized_construction(base: ConstructionRecord, rng: np.random.Generator,
     Y = 0.5 * rng.standard_normal((cf.q_dim, r))
     F_tilde = ond.F_tilde + ond.L @ Z @ V.basis.T + Y @ V.perp_projector()
     L = ond.L @ _well_conditioned(rng, ond.k)
-    return assemble(cf, OutputNullingData(V=V, F_tilde=F_tilde, L=L), rank_tol)
+    return assemble(cf, OutputNullingData(V=V, F_tilde=F_tilde, L=L))

@@ -11,9 +11,13 @@ C_inp v + D_inp g), are exactly the DAE's trajectory pairs:
 * Lambda = (E C_s)^+ maps consistent initial data to the reduced state,
   with Lambda (E x(t)) = v(t) along every trajectory.
 
-Structural identities enforced on every build: E D_s = 0,
-rank(E C_s) = n_hat, Lambda (E C_s) = I.  Their measured defects are kept
-in ``ConstructionRecord.checks``.
+E C_s = S^{-1} [W; 0] has full column rank n_hat by construction (S is
+invertible and W is the orthonormal V* basis), so no rank is decided
+here: a thin QR, E C_s = Q R, gives X = Im Q and Lambda = R^{-1} Q^T.
+Structural identities enforced on every build: E D_s = 0 and
+Lambda (E C_s) = I, which fails for an E C_s that is rank deficient or
+too ill conditioned to invert.  Their measured defects are kept in
+``ConstructionRecord.checks``.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .dae import CanonicalForm, DaeSystem, canonical_form
 from .errors import IDENTITY_TOL, InputError, require
 from .geometric import OutputNullingData, output_nulling
-from .linalg import DEFAULT_RANK_TOL, Subspace, _pinv, _rank, _svd, as_vector
+from .linalg import DEFAULT_RANK_TOL, Subspace, as_vector
 from .signals import SampledSignal, integrate_lti
 
 
@@ -89,8 +94,7 @@ def _lift(cf: CanonicalForm, top: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.vstack([cf.T @ np.vstack([top, X[: n - r]]), X[n - r:]])
 
 
-def assemble(cf: CanonicalForm, ond: OutputNullingData,
-             rank_tol: float = DEFAULT_RANK_TOL) -> ConstructionRecord:
+def assemble(cf: CanonicalForm, ond: OutputNullingData) -> ConstructionRecord:
     """Assemble the associated linear system from its ingredients.
 
     ``ond`` may come from :func:`daeobs.geometric.output_nulling` or carry
@@ -122,20 +126,20 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData,
 
     E = sys.E
     ECs = E @ C_s
-    # Lambda, the rank check and X all come from one SVD of E C_s.
-    U, s, Vt = _svd(ECs)
-    rank = _rank(s, ECs.shape, rank_tol)
-    Lambda = _pinv(U, s, Vt, rank)
+    # E C_s = S^{-1} [W; 0] has full column rank, so its pseudoinverse is
+    # R^{-1} Q' from a thin QR and X = Im Q.  LAPACK rejects an empty
+    # system.  An exactly zero R_ii makes dtrtrs return Q' unsolved; then
+    # (Lambda E C_s)_ii = R_ii = 0 and the identity below fails by 1.
+    Q, R = np.linalg.qr(ECs)
+    Lambda = dtrtrs(R, Q.T)[0] if n_hat else Q.T
     checks = {
         "E_Ds": require("E D_s = 0", np.linalg.norm(E @ D_s),
                         IDENTITY_TOL * (1.0 + float(np.linalg.norm(E)))),
-        "rank_ECs_equals_n_hat": require(
-            "rank(E C_s) = n_hat", n_hat - rank, 0),
         "Lambda_ECs_minus_I": require(
             "Lambda (E C_s) = I", np.linalg.norm(Lambda @ ECs - np.eye(n_hat)),
             IDENTITY_TOL * 2.0),
     }
-    X = Subspace(U[:, :rank].copy())
+    X = Subspace(Q)
 
     lti = AssociatedLti(
         A_l=A_l, B_l=B_l, C_l=C_l, D_l=D_l,
@@ -151,7 +155,7 @@ def construct(sys: DaeSystem,
     associated linear system."""
     cf = canonical_form(sys, rank_tol)
     ond = output_nulling(cf, rank_tol)
-    return assemble(cf, ond, rank_tol)
+    return assemble(cf, ond)
 
 
 def output_trajectory_from_v0(lti: AssociatedLti, v0,

@@ -17,7 +17,9 @@ Lyapunov solve for the increment from the residual; Benner & Byers 1998)
 until the residual passes tolerance.  Without inputs (k = 0), G = 0 and
 the same steps solve the Lyapunov equation.  A non-finite iterate, a
 stalled polish or a Newton step whose Lyapunov solve LAPACK had to
-perturb ends the solve with InternalConsistencyError.
+perturb ends the solve with InternalConsistencyError.  The solution
+certifies P > 0 and a stable closed loop A_cl = A_l - B_l K by Cholesky
+(Lyapunov's theorem); eigenvalues decide them only when that test fails.
 Stabilizability of (A_l, B_l) is the only existence condition; the solve
 checks it itself before anything else (a controllability staircase on the
 whole pair, then eigenvalues of the unreached block only), so every
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
@@ -102,17 +105,36 @@ class LqWeights:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Stabilizing solution (P, K) and the (value, tol) pairs it measured."""
+    """Stabilizing solution (P, K), its closed loop A_cl = A_l - B_l K and
+    the ARE residual with its tolerance.  The spectrum of A_cl, and the
+    checks that report it, are measured when read."""
 
     P: np.ndarray
     K: np.ndarray
     residual: float
-    closed_loop_spectrum: np.ndarray
-    checks: dict[str, tuple[float, float]]
+    residual_tol: float
+    A_cl: np.ndarray
 
     @property
     def n_hat(self) -> int:
         return self.P.shape[0]
+
+    @cached_property
+    def closed_loop_spectrum(self) -> np.ndarray:
+        return np.linalg.eigvals(self.A_cl) if self.A_cl.size else np.zeros(0, complex)
+
+    @property
+    def checks(self) -> dict[str, tuple[float, float]]:
+        """The measured (value, tol) pairs: the ARE residual and, when
+        n_hat > 0, the closed loop's largest real part (strictly below 0)."""
+        checks = {"are_residual": (self.residual, self.residual_tol)}
+        if self.n_hat:
+            max_re = float(np.max(self.closed_loop_spectrum.real))
+            if max_re >= 0:
+                raise InternalConsistencyError(
+                    "closed loop A_l - B_l K is not stable after the Riccati solve")
+            checks["closed_loop_max_real_part"] = (max_re, 0.0)
+        return checks
 
 
 @dataclass(frozen=True)
@@ -172,7 +194,8 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
     the running cost is observable, which holds for every system built
     from weights Q > 0).  Every input count, k = 0 included, takes the
     one path of doubling and Newton polish, which enforces the residual,
-    closed-loop stability and P >= 0.
+    closed-loop stability and P >= 0 (by :func:`_lyapunov_certificate`,
+    or else by eigenvalues).
     """
     A = as_matrix(A_l, "A_l")
     B = as_matrix(B_l, "B_l")
@@ -184,8 +207,8 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
     n = A.shape[0]
     k = B.shape[1]
     if n == 0:
-        return RiccatiSolution(np.zeros((0, 0)), np.zeros((k, 0)), 0.0,
-                               np.zeros(0, complex), {"are_residual": (0.0, are_tol)})
+        return RiccatiSolution(np.zeros((0, 0)), np.zeros((k, 0)), 0.0, are_tol,
+                               np.zeros((0, 0)))
 
     CSC = symmetrize(C.T @ S @ C)
     W = symmetrize(D.T @ S @ D)
@@ -230,16 +253,26 @@ def solve_are_blocks(A_l, B_l, C_l, D_l, S,
         raise InternalConsistencyError(
             f"Riccati refinement stalled at residual {residual:.3e}"
         )
-    checks = {"are_residual": (residual, P_tol)}
-    spectrum = np.linalg.eigvals(A - B @ K)
-    max_re = float(np.max(spectrum.real))
-    if max_re >= 0:
-        raise InternalConsistencyError(
-            "closed loop A_l - B_l K is not stable after the Riccati solve"
-        )
-    checks["closed_loop_max_real_part"] = (max_re, 0.0)
-    require("P >= 0", -np.linalg.eigvalsh(P)[0], P_tol)
-    return RiccatiSolution(P, K, residual, spectrum, checks)
+    solution = RiccatiSolution(P, K, residual, P_tol, A - B @ K)
+    if not _lyapunov_certificate(P, solution.A_cl):
+        solution.checks  # measures the spectrum; raises unless it is stable
+        require("P >= 0", -np.linalg.eigvalsh(P)[0], P_tol)
+    return solution
+
+
+def _lyapunov_certificate(P, A_cl) -> bool:
+    """Whether Cholesky proves P > 0 and -(A_cl' P + P A_cl) - 2 mu P > 0,
+    mu = PBH_EIG_MARGIN * max(1, ||A_cl||_F): then every eigenvalue of A_cl
+    has Re lambda < -mu, since x^*(A_cl' P + P A_cl) x = 2 Re lambda x^*Px
+    for A_cl x = lambda x.  False only means the test did not conclude."""
+    mu = PBH_EIG_MARGIN * max(1.0, float(np.linalg.norm(A_cl)))
+    PA = P @ A_cl
+    try:
+        np.linalg.cholesky(P)
+        np.linalg.cholesky(-(PA + PA.T) - 2.0 * mu * P)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _lu_inverse(M, min_pivot_ratio: float):
@@ -321,7 +354,7 @@ def assemble_controller(lti: AssociatedLti, rs: RiccatiSolution,
                      np.linalg.norm(lti.Lambda @ E @ C_x - np.eye(lti.n_hat)),
                      IDENTITY_TOL * (1.0 + float(np.linalg.norm(E))))
     return DynamicController(
-        A_c=lti.A_l - lti.B_l @ rs.K,
+        A_c=rs.A_cl,
         B_c=lti.Lambda.copy(),
         C_x=C_x,
         C_u=lti.C_inp - lti.D_inp @ rs.K,

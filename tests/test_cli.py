@@ -156,13 +156,15 @@ class TestAssociatedLti:
         rep = json.loads(out.read_text())
         assert rep["result"]["dimensions"]["r"] == 1
 
-    def test_rank_check_measures_the_rank(self, tmp_path):
+    def test_rank_of_ECs_is_not_decided(self, tmp_path):
+        # E C_s has full column rank by construction; the report keeps the
+        # identity that would fail without it, Lambda (E C_s) = I
         out = tmp_path / "r.json"
         assert run_cli(["associated-lti", data_path("est_rank1.json"),
                         "--output", out]) == 0
-        rep = json.loads(out.read_text())
-        assert rep["checks"]["rank_ECs_equals_n_hat"] == {
-            "value": 0.0, "tol": 0.0, "ok": True}
+        checks = json.loads(out.read_text())["checks"]
+        assert list(checks) == ["E_Ds", "Lambda_ECs_minus_I"]
+        assert checks["Lambda_ECs_minus_I"]["ok"] is True
 
 
 class TestSimulate:
@@ -424,9 +426,20 @@ class TestParser:
 
 class TestCoarseRankTol:
     """k is decided once, by the rank cut on K = [D~; (I - P_V) G]; the
-    orthonormal L and D_l are not cut again.  Where a coarse --rank-tol
-    leaves that cut and the others where the default puts them, the
-    outcome is the default's."""
+    orthonormal L and D_l are not cut again, and E C_s, of full column rank
+    by construction, is not cut at all.  Where a coarse --rank-tol leaves
+    the remaining cuts where the default puts them, the outcome is the
+    default's."""
+
+    @pytest.mark.parametrize("rank_tol", ["0.05", "0.1", "0.15", "0.3"])
+    @pytest.mark.parametrize("name", ["ctrl_ode.json", "est_classical.json"])
+    def test_randomized_builds_stay_equivalent(self, tmp_path, name, rank_tol):
+        out = tmp_path / "eq.json"
+        assert run_cli(["check-equivalence", data_path(name), "-o", out,
+                        "--rank-tol", rank_tol]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["result"]["ok"] is True
+        assert rep["result"]["trials"] == 20
 
     @pytest.mark.parametrize("command", ["synthesize-observer", "associated-lti"])
     def test_classical_at_0_3_matches_the_default(self, tmp_path, command):

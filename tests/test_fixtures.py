@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from daeobs import observer, riccati
 from daeobs.cli import main
 from daeobs.dae import DaeSystem, ObservedDae, dual_dae
 from daeobs.errors import NotStabilizableError
@@ -54,6 +55,48 @@ def test_fixture_replays_through_cli(name, tmp_path):
     # the invocation path is environment specific; golden pins the bare name
     got["input"]["path"] = fx.problem
     assert_json_close(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(
+    fx.name for fx in FIXTURES.values() if fx.golden is not None))
+def test_eigenvalue_fallback_writes_the_same_report(name, tmp_path, monkeypatch):
+    """With every Cholesky failing, each Riccati solve decides stability and
+    P >= 0 from eigenvalues, as it did before the certificate, and reaches
+    the same P, K and report bytes."""
+    fx = FIXTURES[name]
+    solves, eigvalsh_calls = [], []
+    real_solve, real_eigvalsh = riccati.solve_are_blocks, np.linalg.eigvalsh
+
+    def recording_solve(*args, **kwargs):
+        rs = real_solve(*args, **kwargs)
+        solves.append((rs.n_hat, rs.P.tobytes(), rs.K.tobytes()))
+        return rs
+
+    def counting_eigvalsh(*args, **kwargs):
+        eigvalsh_calls.append(1)
+        return real_eigvalsh(*args, **kwargs)
+
+    def failing_cholesky(M):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    for module in (riccati, observer):
+        monkeypatch.setattr(module, "solve_are_blocks", recording_solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    runs = []
+    for fallback in (False, True):
+        if fallback:
+            monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+        solves.clear()
+        eigvalsh_calls.clear()
+        out = tmp_path / "report.json"
+        assert main([fx.command, str(data_path(fx.problem)),
+                     "--output", str(out)]) == 0
+        runs.append((out.read_bytes(), list(solves), len(eigvalsh_calls)))
+    (certified, solved, eigvalsh_n), (fell_back, resolved, eigvalsh_m) = runs
+    assert fell_back == certified
+    assert resolved == solved
+    # one P >= 0 eigenvalue check per fallback solve with a state
+    assert eigvalsh_m - eigvalsh_n == sum(1 for n_hat, _, _ in solved if n_hat)
 
 
 def test_every_fixture_has_provenance_note():

@@ -337,7 +337,7 @@ class TestFriend:
 
     def test_reads_the_cut_of_L(self, monkeypatch):
         """The friend takes no SVD and makes no rank cut: one construct of
-        ctrl_rank1 runs 4 SVDs, none of them inside the friend, and L's
+        ctrl_rank1 runs 3 SVDs, none of them inside the friend, and L's
         rank is not decided again after the cut that fixed k."""
         from daeobs import geometric, linalg
         from daeobs.problem_io import load_problem
@@ -364,7 +364,7 @@ class TestFriend:
             monkeypatch.setattr(mod, "_rank", counted(rank_calls, mod._rank))
         rec = construct(sys)
         assert rec.V.dim and rec.cf.q_dim
-        assert len(svd_calls) == 4
+        assert len(svd_calls) == 3
         assert not any(svd_calls) and not any(rank_calls)
 
     @pytest.mark.parametrize("seed", range(8))

@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from daeobs import ConsistencyError, DaeSystem, construct
+from daeobs import ConsistencyError, DaeSystem, InternalConsistencyError, construct
+from daeobs import lti as lti_module
+from daeobs.cli import main
+from daeobs.fixtures import data_path
 from daeobs.lti import output_trajectory_from_v0
+from daeobs.problem_io import load_problem
 from daeobs.signals import SampledSignal, uniform_grid
 
 from .conftest import random_dae
@@ -64,6 +70,67 @@ class TestBuildStructure:
         # stacking C_l = [C_s; C_inp], D_l = [D_s; D_inp]
         np.testing.assert_array_equal(lti.C_l, np.vstack([lti.C_s, lti.C_inp]))
         np.testing.assert_array_equal(lti.D_l, np.vstack([lti.D_s, lti.D_inp]))
+
+
+class TestLambdaFromQr:
+    """E C_s = S^{-1} [W; 0] has full column rank by construction, so a thin
+    QR gives its pseudoinverse Lambda = R^{-1} Q' and X = Im Q; the identity
+    Lambda (E C_s) = I is what fails when E C_s loses that rank."""
+
+    @pytest.mark.parametrize("seed,n,m,r,decades", [
+        (0, 6, 2, 4, 0), (1, 10, 3, 7, 4), (2, 40, 10, 30, 6), (3, 8, 0, 8, 5),
+    ])
+    def test_matches_the_svd_route(self, seed, n, m, r, decades):
+        # E's nonzero singular values spread over `decades` decades
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        s = np.r_[np.logspace(0, -decades, r), np.zeros(n - r)]
+        sys = DaeSystem(U @ np.diag(s) @ V.T, rng.standard_normal((n, n)),
+                        rng.standard_normal((n, m)))
+        lti = construct(sys).lti
+        ECs = sys.E @ lti.C_s
+        assert lti.n_hat
+        Lambda_ref = np.linalg.pinv(ECs)
+        assert np.linalg.norm(lti.Lambda - Lambda_ref) <= \
+            1e-10 * np.linalg.norm(Lambda_ref)
+        U_ref = np.linalg.svd(ECs)[0][:, :lti.n_hat]
+        assert np.linalg.norm(lti.X.basis @ lti.X.basis.T - U_ref @ U_ref.T) <= 1e-10
+
+    def test_empty_state_solves_nothing(self, capfd):
+        # LAPACK prints a parameter error for an empty triangular system
+        lti = construct(DaeSystem(np.zeros((2, 2)), np.eye(2), np.ones((2, 1)))).lti
+        assert lti.Lambda.shape == (0, 2) and lti.X.dim == 0
+        assert capfd.readouterr() == ("", "")
+
+    @staticmethod
+    def mutate_T(monkeypatch, N):
+        """Make ``construct`` use T blkdiag(N, I) in place of T: E D_s = 0
+        still holds, while E C_s becomes S^{-1} [N W; 0]."""
+        real = lti_module.canonical_form
+
+        def mutated(sys, rank_tol):
+            cf = real(sys, rank_tol)
+            M = np.eye(cf.n)
+            M[:cf.r, :cf.r] = N
+            return dataclasses.replace(cf, T=cf.T @ M)
+        monkeypatch.setattr(lti_module, "canonical_form", mutated)
+
+    # on ctrl_ode (n_hat = r = 2) a rank-one N leaves rank E C_s = 1 with a
+    # roundoff-sized R_22, and N = 0 zeroes E C_s, so R = 0 exactly
+    @pytest.mark.parametrize("N", [np.outer([1.0, 1 / 3], [0.3, 0.7]),
+                                   np.zeros((2, 2))],
+                             ids=["rank_deficient", "singular_R"])
+    def test_lost_rank_fails_the_identity(self, N, monkeypatch, tmp_path, capsys):
+        sys = load_problem(str(data_path("ctrl_ode.json"))).problem.sys
+        self.mutate_T(monkeypatch, N)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"'Lambda \(E C_s\) = I' violated"):
+            construct(sys)
+        code = main(["associated-lti", str(data_path("ctrl_ode.json")),
+                     "-o", str(tmp_path / "r.json")])
+        assert code == 12
+        assert "Lambda (E C_s) = I" in capsys.readouterr().err
 
 
 class TestConsistency:

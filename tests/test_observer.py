@@ -370,31 +370,32 @@ class TestSynthesize:
         assert np.max(obsv.spectrum.real) < 0
 
     def test_decides_each_weight_once(self, monkeypatch):
-        # one symmetric eigendecomposition each for Q0, Q, R, D_l' S D_l
-        # and the P >= 0 check: the adjoint weights duality builds from
-        # them are positive by construction and are not decided again
+        # one symmetric eigendecomposition each for Q0, Q, R and D_l' S D_l:
+        # the adjoint weights duality builds from them are positive by
+        # construction and are not decided again, and the solve certifies
+        # P > 0 by Cholesky
         calls = count_symmetric_eigs(monkeypatch)
         rng = np.random.default_rng(4)
         sys = random_dae(rng, 40, 10, 20)
         obs = ObservedDae(sys.E, sys.A_hat, sys.B_hat.T.copy())
         synthesize_estimator(obs, random_spd(rng, 40), random_spd(rng, 40),
                              random_spd(rng, 10))
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     def test_decides_a_loaded_problem_once(self, monkeypatch, tmp_path):
         # loading decides Q0, Q and R (three eigh); the synthesis of the
-        # loaded problem adds only D_l' S D_l (eigh) and P >= 0 (eigvalsh),
-        # through synthesize and through the CLI alike
+        # loaded problem adds only D_l' S D_l (eigh), through synthesize and
+        # through the CLI alike: P >= 0 is certified by Cholesky
         path = str(data_path("est_rank1.json"))
         calls = count_symmetric_eigs(monkeypatch)
         prob = load_problem(path).problem
         assert calls == ["eigh"] * 3
         synthesize(prob)
-        assert calls == ["eigh"] * 4 + ["eigvalsh"]
+        assert calls == ["eigh"] * 4
         calls.clear()
         assert main(["synthesize-observer", path,
                      "-o", str(tmp_path / "obs.json")]) == 0
-        assert calls == ["eigh"] * 4 + ["eigvalsh"]
+        assert calls == ["eigh"] * 4
 
 
 class TestSigmaMagnitude:

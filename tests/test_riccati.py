@@ -296,6 +296,83 @@ class TestSolveAre:
         assert np.linalg.eigvalsh(rs.P)[0] > 0.0
 
 
+class TestCertificate:
+    """A successful solve proves P > 0 and Re lambda(A_l - B_l K) < -mu by
+    Cholesky; eigenvalues run only when that test does not conclude, or
+    when someone reads the spectrum."""
+
+    @staticmethod
+    def count_eigs(monkeypatch) -> list:
+        calls = []
+        for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+            def wrapped(*args, name=name, fn=getattr(np.linalg, name), **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, wrapped)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["observer", "lq"])
+    def test_success_runs_no_eigensolve(self, kind, monkeypatch):
+        blocks = ladder_blocks(kind, 160, 1)
+        calls = self.count_eigs(monkeypatch)
+        rs = solve_are_blocks(*blocks)
+        # the one eigh decides the input weight D_l' S D_l > 0; nothing
+        # re-checks the solution
+        assert calls == ["eigh"]
+        calls.clear()
+        spectrum = rs.closed_loop_spectrum
+        assert rs.checks["closed_loop_max_real_part"] == \
+            (float(np.max(spectrum.real)), 0.0) and spectrum.shape == (160,)
+        assert calls == ["eigvals"]
+        np.testing.assert_array_equal(rs.A_cl, blocks[0] - blocks[1] @ rs.K)
+
+    def test_certificate_is_the_lyapunov_inequality(self):
+        # A_cl = diag(-1, -3) with P = I: -(A_cl' P + P A_cl) - 2 mu P is
+        # diag(2, 6) - 2 mu, positive definite for mu < 1 only
+        A_cl, P = np.diag([-1.0, -3.0]), np.eye(2)
+        assert riccati._lyapunov_certificate(P, A_cl)
+        assert not riccati._lyapunov_certificate(P, np.diag([-1e-12, -3.0]))
+        assert not riccati._lyapunov_certificate(np.diag([1.0, 0.0]), A_cl)
+        assert not riccati._lyapunov_certificate(P, np.diag([1.0, -3.0]))
+
+    def test_fallback_gives_the_same_solution(self, monkeypatch):
+        blocks = ladder_blocks("observer", 40, 2)
+        rs = solve_are_blocks(*blocks)
+
+        def failing(M):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        calls = self.count_eigs(monkeypatch)
+        fallback = solve_are_blocks(*blocks)
+        assert calls.count("eigvals") == 1 and calls.count("eigvalsh") == 1
+        assert fallback.P.tobytes() == rs.P.tobytes()
+        assert fallback.K.tobytes() == rs.K.tobytes()
+        assert fallback.checks == rs.checks
+
+    def test_fallback_keeps_the_stability_decision(self, monkeypatch):
+        # a P and K the certificate cannot vouch for still end as before
+        monkeypatch.setattr(riccati, "_lyapunov_certificate", lambda P, A: False)
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda M: np.array([1e-3, -1.0]))
+        with pytest.raises(InternalConsistencyError, match="not stable"):
+            solve_are_blocks(np.diag([-1.0, -2.0]), np.eye(2),
+                             np.vstack([np.eye(2), np.zeros((2, 2))]),
+                             np.vstack([np.zeros((2, 2)), np.eye(2)]), np.eye(4))
+
+    def test_reading_an_unstable_spectrum_raises(self):
+        rs = riccati.RiccatiSolution(np.eye(1), np.zeros((0, 1)), 0.0, 1e-8,
+                                     np.array([[0.5]]))
+        with pytest.raises(InternalConsistencyError, match="not stable"):
+            rs.checks
+
+    def test_empty_state_reports_only_the_residual(self):
+        rs = solve_are_blocks(np.zeros((0, 0)), np.zeros((0, 1)),
+                              np.zeros((1, 0)), np.ones((1, 1)), np.eye(1))
+        assert rs.checks == {"are_residual": (0.0, riccati.DEFAULT_ARE_TOL)}
+        assert rs.closed_loop_spectrum.shape == (0,)
+
+
 def ladder_blocks(kind: str, n_hat: int, seed: int):
     """Riccati blocks (A_l, B_l, C_l, D_l, S) shaped like the benchmark's
     synthesis rungs: the adjoint of an observed DAE with F of full rank
