@@ -207,7 +207,7 @@ def _check_equivalence(loaded: LoadedProblem, opts: SolverOptions, args):
     max_defect = worst_verify = 0.0
     for _ in range(opts.trials):
         rec2 = randomized_construction(base, rng, rank_tol=opts.rank_tol)
-        eq = build_equivalence(base, rec2, rank_tol=opts.rank_tol)
+        eq = build_equivalence(base, rec2)
         for name, value in eq.defects.items():
             worst[name] = max(worst.get(name, 0.0), value)
         max_defect = max(max_defect, eq.max_defect)

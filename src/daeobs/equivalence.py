@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .dae import canonical_form_from_transforms, same_system
 from .errors import InputError, InternalConsistencyError, require
 from .geometric import OutputNullingData, output_nulling
-from .linalg import DEFAULT_RANK_TOL, Subspace, pseudoinverse
+from .linalg import DEFAULT_RANK_TOL, Subspace
 from .lti import AssociatedLti, ConstructionRecord, _lift, assemble
 
 STRUCTURAL_TOL = 1e-8
@@ -63,8 +64,8 @@ def _rel(value: float, scale: float) -> float:
     return float(value) / (1.0 + float(scale))
 
 
-def build_equivalence(rec1: ConstructionRecord, rec2: ConstructionRecord,
-                      rank_tol: float = DEFAULT_RANK_TOL) -> FeedbackEquivalence:
+def build_equivalence(rec1: ConstructionRecord,
+                      rec2: ConstructionRecord) -> FeedbackEquivalence:
     """Construct the feedback equivalence between two reductions of one DAE.
 
     Asserts the structural zeros of the transition blocks first (their
@@ -107,7 +108,10 @@ def build_equivalence(rec1: ConstructionRecord, rec2: ConstructionRecord,
     U_hat[: n - r, : n - r] = np.linalg.inv(R22)
     U_hat[n - r:, n - r:] = np.eye(m)
 
-    L1p = pseudoinverse(L1, rank_tol)
+    # L1 has full column rank k by construction, so its pseudoinverse is
+    # R^{-1} Q' from a thin QR; LAPACK rejects an empty system.
+    Q, Rq = np.linalg.qr(L1)
+    L1p = dtrtrs(Rq, Q.T)[0] if k else Q.T
     T_full = R11
     F_full = L1p @ (F_hat + U_hat @ F2 @ R11 - F1)
     U = L1p @ U_hat @ L2
@@ -170,14 +174,11 @@ def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return Q * np.sign(np.diag(Rq))
 
 
-def _well_conditioned(rng: np.random.Generator, n: int,
-                      spread: float = 0.4) -> np.ndarray:
-    if n == 0:
-        return np.zeros((0, 0))
-    while True:
-        M = np.eye(n) + spread * rng.standard_normal((n, n))
-        if np.linalg.cond(M) < 50.0:
-            return M
+def _well_conditioned(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Q1 diag(s) Q2 with s ~ U[0.5, 2] and random orthogonal Q1, Q2, so
+    the condition number is at most 4 at every size."""
+    s = rng.uniform(0.5, 2.0, n)
+    return (_random_orthogonal(rng, n) * s) @ _random_orthogonal(rng, n)
 
 
 def randomized_construction(base: ConstructionRecord, rng: np.random.Generator,

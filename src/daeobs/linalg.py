@@ -1,5 +1,5 @@
-"""Rank-aware dense linear algebra: pseudoinverse, kernel/image bases
-and symmetric matrix functions.
+"""Rank-aware dense linear algebra: validated arrays, orthonormal
+subspaces, kernel bases and weight decisions.
 
 All rank decisions in the package go through a single relative threshold:
 a singular value sigma is treated as zero when
@@ -9,7 +9,11 @@ a singular value sigma is treated as zero when
 with ``rank_tol`` defaulting to :data:`DEFAULT_RANK_TOL`; :func:`_rank`
 is the one place that cut is made.  Subspaces are always stored with
 orthonormal bases (obtained from SVDs), which keeps membership tests well
-conditioned.
+conditioned.  The two matrices the package pseudo-inverts (E C_s in
+:func:`daeobs.lti.assemble`, L in
+:func:`daeobs.equivalence.build_equivalence`) have full column rank by
+construction, so each is inverted through a thin QR and no rank is
+decided there.
 
 Weights are decided the same way: :func:`_require_symmetric` is the one
 symmetry decision (cut at ``SYMMETRY_TOL``), and :func:`require_spd` decides
@@ -85,29 +89,6 @@ def _rank(s: np.ndarray, shape, rank_tol: float, scale: float = 0.0) -> int:
     return int(np.sum(s > rank_tol * max(smax, scale) * max(shape[0], shape[1], 1)))
 
 
-def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL,
-                  scale: float = 0.0) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with an explicit rank cut-off.
-
-    Singular values below the relative threshold are treated as exactly
-    zero, so rank-deficient inputs produce clean pseudoinverses (a zero
-    matrix maps to a zero matrix).  ``scale`` optionally floors the
-    threshold by the magnitude of the surrounding computation, so that
-    matrices which are zero up to roundoff of that computation are treated
-    as zero instead of being inverted into noise.
-    """
-    M = as_matrix(M)
-    U, s, Vt = _svd(M)
-    return _pinv(U, s, Vt, _rank(s, M.shape, rank_tol, scale))
-
-
-def _pinv(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, r: int) -> np.ndarray:
-    """Pseudoinverse read off an SVD (from :func:`_svd`) cut at rank r."""
-    if r == 0:
-        return np.zeros((Vt.shape[0], U.shape[0]))
-    return (Vt[:r].T / s[:r]) @ U[:, :r].T
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace stored as an orthonormal basis.
@@ -169,9 +150,9 @@ def kernel_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
                  scale: float = 0.0) -> Subspace:
     """Orthonormal basis of the null space {x : Mx = 0}.
 
-    ``scale`` floors the rank threshold (see :func:`pseudoinverse`): rows
-    that vanish up to roundoff of a computation with magnitude ``scale``
-    do not shrink the kernel.
+    ``scale`` floors the rank threshold by the magnitude of the surrounding
+    computation: rows that vanish up to roundoff of a computation with
+    magnitude ``scale`` do not shrink the kernel.
     """
     M = as_matrix(M)
     m, n = M.shape

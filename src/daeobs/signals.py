@@ -6,8 +6,8 @@ interpolation of the input at half steps, giving global order 4 on the
 linear systems used throughout the package.  On a linear system one such
 step is exactly the recurrence  x+ = M x + N0 u_i + N1 u_{i+1};  the exact
 RK4 propagator (M, N0, N1) is read off the step formula once, and the
-recurrence runs as a blocked scan over blocks of ``SCAN_BLOCK`` steps, so
-no Python loop runs per step.
+recurrence runs as a doubling scan of about log2 N matmuls, so no Python
+loop runs per step.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import InputError
 from .linalg import as_matrix, as_vector
 
 GRID_RTOL = 1e-9
-SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -114,12 +113,10 @@ def integrate_lti(A, B, x0, u: SampledSignal) -> SampledSignal:
     The input is linearly interpolated at half steps; global error is
     O(h^4).  Requires a uniform grid.
 
-    The steps are evaluated through the exact RK4 propagator as a blocked
-    scan: the input term of every step is one matmul; the zero-state
-    response inside every block of ``SCAN_BLOCK`` steps advances for all
-    blocks at once; a loop over the block starts chains the blocks with
-    M^SCAN_BLOCK; and the free response M^j x_start is added to every block
-    with one batched matmul.
+    The steps are evaluated through the exact RK4 propagator as a
+    doubling (log-depth prefix) scan: the input term of every step is one
+    matmul, and ceil(log2(N + 1)) passes, each one matmul with M^s at
+    strides s = 1, 2, 4, ..., chain the N steps.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -135,34 +132,20 @@ def integrate_lti(A, B, x0, u: SampledSignal) -> SampledSignal:
         )
     if x0.size != n:
         raise InputError(f"x0 must have length {n}")
-    h = u.step
-    N = u.grid.size - 1
-    out = np.empty((n, N + 1))
-    out[:, 0] = x0
-    if N == 0:
-        return SampledSignal(u.grid.copy(), out)
-    M, N0, N1 = _rk4_propagator(A, B, h)
+    M, N0, N1 = _rk4_propagator(A, B, u.step)
     U = u.values
-    b = min(SCAN_BLOCK, N)
-    nb = -(-N // b)
-    # Y[q, j]: state after step j + 1 of block q.  It starts as the input
-    # term N0 u_i + N1 u_{i+1} of that step, becomes the response from a
-    # zero block start, and finally (after the chaining) the true state.
-    Y = np.zeros((nb * b, n))
-    Y[:N] = np.vstack([U[:, :-1], U[:, 1:]]).T @ np.hstack([N0, N1]).T
-    Y = Y.reshape(nb, b, n)
-    powers = np.empty((b, n, n))  # powers[j] = M^(j + 1)
-    powers[0] = M
-    for j in range(1, b):
-        Y[:, j] += Y[:, j - 1] @ M.T
-        powers[j] = M @ powers[j - 1]
-    starts = np.empty((nb, n))
-    starts[0] = x0
-    for q in range(nb - 1):
-        starts[q + 1] = powers[-1] @ starts[q] + Y[q, -1]
-    Y += np.matmul(powers, starts.T).transpose(2, 0, 1)
-    out[:, 1:] = Y.reshape(nb * b, n)[:N].T
-    return SampledSignal(u.grid.copy(), out)
+    N = U.shape[1] - 1
+    # X starts as x0 and the input term of every step; after the pass with
+    # stride s, column i holds the sum of M^(i-j) X[:, j] over the last 2s
+    # columns j <= i, so once s > N every column is the state.
+    X = np.empty((n, N + 1))
+    X[:, 0] = x0
+    X[:, 1:] = N0 @ U[:, :-1] + N1 @ U[:, 1:]
+    s, P = 1, M
+    while s <= N:
+        X[:, s:] += P @ X[:, :-s]
+        s, P = 2 * s, P @ P
+    return SampledSignal(u.grid.copy(), X)
 
 
 def simpson(grid, vals) -> float:

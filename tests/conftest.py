@@ -105,11 +105,13 @@ def random_reduced_instance(rng: np.random.Generator,
 
 @pytest.fixture(scope="session")
 def reduced_instance_pool():
-    """Twenty-five cached random stabilizable instances."""
+    """Twenty-five cached random stabilizable instances, one per call of
+    :func:`random_reduced_instance`; a call that finds none fails the
+    fixture instead of drawing again."""
     rng = np.random.default_rng(20240811)
-    pool = []
-    while len(pool) < 25:
-        inst = random_reduced_instance(rng)
-        if inst is not None:
-            pool.append(inst)
+    pool = [random_reduced_instance(rng) for _ in range(25)]
+    empty = sum(inst is None for inst in pool)
+    if empty:
+        pytest.fail(f"{empty} of 25 draws of random_reduced_instance gave "
+                    "no instance")
     return pool

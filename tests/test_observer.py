@@ -16,7 +16,6 @@ from daeobs.cli import main
 from daeobs.dae import dual_dae
 from daeobs.equivalence import randomized_construction
 from daeobs.fixtures import data_path
-from daeobs.linalg import pseudoinverse
 from daeobs.observer import q0_bar, worst_case_bound
 from daeobs.problem_io import load_problem
 from daeobs.riccati import assemble_controller
@@ -28,6 +27,7 @@ from .oracles import (
     classical_filter,
     kkt_constrained_min,
     observer_kernel,
+    pseudoinverse,
     q0_bar_reference,
 )
 

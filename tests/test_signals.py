@@ -108,7 +108,8 @@ class TestIntegrator:
         grid, U, B, x0 = _forced(n, 2, 15.0, 2e-3)
         assert _rel_dev(A, B, x0, grid, U) <= 1e-11
 
-    @pytest.mark.parametrize("N", [0, 1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 63, 64, 65, 129, 1023, 1024,
+                                   1025, 7500])
     def test_propagator_step_counts(self, N):
         A = np.array([[-0.5, 2.0], [-2.0, -0.5]])
         grid, U, B, x0 = _forced(2, 1, 0.01 * N, 0.01, seed=N)
