@@ -3,11 +3,10 @@
 Each oracle deliberately takes a different computational route than the
 code it checks: an SVD pseudoinverse, brute-force least squares, KKT
 systems, textbook filter formulas via scipy's Riccati solver, and finite
-differences.  The
-reference views at the end (costs by quadrature, trajectories from a
-physical initial state, the observer's integral kernel, the inverse of
-the duality map) are built on the library's own pieces and exist only
-for the tests.
+differences.  The reference views at the end (costs by quadrature,
+trajectories from a physical initial state, the observer's integral
+kernel, the inverse of the duality map) are built on the library's own
+pieces and exist only for the tests.
 """
 
 from __future__ import annotations
