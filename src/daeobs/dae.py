@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, require
-from .linalg import DEFAULT_RANK_TOL, _rank, _svd, as_matrix
+from .linalg import DEFAULT_RANK_TOL, _rank, as_matrix
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def canonical_form(sys: DaeSystem,
     """
     E = sys.E
     n = sys.n
-    U, s, Vt = _svd(E)
+    U, s, Vt = np.linalg.svd(E)
     r = _rank(s, E.shape, rank_tol)
     S = np.vstack([U[:, :r].T / s[:r, None], U[:, r:].T])
     T = Vt.T.copy()

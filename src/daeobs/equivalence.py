@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .dae import canonical_form_from_transforms, same_system
 from .errors import InputError, InternalConsistencyError, require
 from .geometric import OutputNullingData, output_nulling
-from .linalg import DEFAULT_RANK_TOL, Subspace
+from .linalg import DEFAULT_RANK_TOL, Subspace, thin_qr_solve
 from .lti import AssociatedLti, ConstructionRecord, _lift, assemble
 
 STRUCTURAL_TOL = 1e-8
@@ -108,10 +107,7 @@ def build_equivalence(rec1: ConstructionRecord,
     U_hat[: n - r, : n - r] = np.linalg.inv(R22)
     U_hat[n - r:, n - r:] = np.eye(m)
 
-    # L1 has full column rank k by construction, so its pseudoinverse is
-    # R^{-1} Q' from a thin QR; LAPACK rejects an empty system.
-    Q, Rq = np.linalg.qr(L1)
-    L1p = dtrtrs(Rq, Q.T)[0] if k else Q.T
+    L1p = thin_qr_solve(L1)[1]
     T_full = R11
     F_full = L1p @ (F_hat + U_hat @ F2 @ R11 - F1)
     U = L1p @ U_hat @ L2
@@ -167,8 +163,6 @@ def verify_equivalence(sys1: AssociatedLti, sys2: AssociatedLti,
 
 
 def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    if n == 0:
-        return np.zeros((0, 0))
     M = rng.standard_normal((n, n))
     Q, Rq = np.linalg.qr(M)
     return Q * np.sign(np.diag(Rq))

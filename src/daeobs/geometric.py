@@ -19,23 +19,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .dae import CanonicalForm
 from .errors import IDENTITY_TOL, require
-from .linalg import DEFAULT_RANK_TOL, Subspace, _rank, _svd, kernel_basis
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    Subspace,
+    _rank,
+    complement_basis,
+    kernel_basis,
+    thin_qr_solve,
+)
 
 
 def _system_scale(cf: CanonicalForm) -> float:
     """Magnitude of the auxiliary-system data, used to floor rank cut-offs
     so that blocks vanishing up to roundoff are treated as zero."""
-    return max(
-        1.0,
-        float(np.linalg.norm(cf.A_tilde)) if cf.A_tilde.size else 0.0,
-        float(np.linalg.norm(cf.G)) if cf.G.size else 0.0,
-        float(np.linalg.norm(cf.C_tilde)) if cf.C_tilde.size else 0.0,
-        float(np.linalg.norm(cf.D_tilde)) if cf.D_tilde.size else 0.0,
-    )
+    blocks = (cf.A_tilde, cf.G, cf.C_tilde, cf.D_tilde)
+    return max(1.0, *(float(np.linalg.norm(M)) for M in blocks))
 
 
 def _annihilator_levels(cf: CanonicalForm, rank_tol: float):
@@ -62,14 +63,14 @@ def _annihilator_levels(cf: CanonicalForm, rank_tol: float):
         for _ in range(2):
             coef = Ru @ Bu.T
             Rx, Ru = Rx - coef @ Bx, Ru - coef @ Bu
-        U, s, Vt = _svd(Ru)
+        U, s, Vt = np.linalg.svd(Ru)
         k = _rank(s, shape, rank_tol, scale)
         Bx = np.vstack([Bx, (U[:, :k].T @ Rx) / s[:k, None]])
         Bu = np.vstack([Bu, Vt[:k]])
         X = U[:, k:].T @ Rx
         for _ in range(2):
             X = X - (X @ Y) @ Y.T
-        _, s, Vt = _svd(X, full=False)
+        _, s, Vt = np.linalg.svd(X, full_matrices=False)
         t = _rank(s, shape, rank_tol, scale)
         if t == 0:
             return
@@ -87,17 +88,14 @@ def weakly_observable_subspace(cf: CanonicalForm,
     V_{k+1} = {x : exists q, A_tilde x + G q in V_k, C_tilde x + D_tilde q = 0}
     on the complements (:func:`_annihilator_levels`): each level adds the
     directions V_k loses, so the iterates are nested by construction and
-    the loop ends within r levels.  V* is the complement of the final Y,
-    from one complete QR; it may be the zero subspace, and when no level
-    adds a direction it is R^r with the identity basis.
+    the loop ends within r levels.  V* is the complement of the final Y
+    (:func:`daeobs.linalg.complement_basis`); it may be the zero subspace,
+    and when no level adds a direction it is R^r with the identity basis.
     """
     Y = np.zeros((cf.r, 0))
     for Y in _annihilator_levels(cf, rank_tol):
         pass
-    d = Y.shape[1]
-    if d == 0:
-        return Subspace(np.eye(cf.r))
-    return Subspace(np.linalg.qr(Y, mode="complete")[0][:, d:].copy())
+    return Subspace(complement_basis(Y))
 
 
 def friend(cf: CanonicalForm, V: Subspace, L: np.ndarray) -> np.ndarray:
@@ -110,24 +108,21 @@ def friend(cf: CanonicalForm, V: Subspace, L: np.ndarray) -> np.ndarray:
     is solved for u by minimum-norm least squares in K = [D_tilde;
     (I - P_V) G], cut at the rank decision that gave L = ker K
     (:func:`input_kernel_matrix`).  With N the orthonormal complement of
-    Im L, K N has full column rank and
-    u = N (K N)^+ [-C_tilde v; -(I - P_V) A_tilde v], from one QR of K N:
-    this is K's truncated pseudoinverse, and no second rank decision is
-    made.  The feasibility residual, the root-sum-square of the
-    invariance and output-zeroing defects of V under the friend, is
-    checked explicitly, also when q_dim = 0 (failure indicates a tolerance
-    problem, since V guarantees solvability).  Off V the friend acts as
-    zero.
+    Im L (:func:`daeobs.linalg.complement_basis`), K N has full column
+    rank and u = N (K N)^+ [-C_tilde v; -(I - P_V) A_tilde v], from the
+    thin-QR solve :func:`daeobs.linalg.thin_qr_solve`: this is K's
+    truncated pseudoinverse, and no second rank decision is made.  The
+    feasibility residual, the root-sum-square of the invariance and
+    output-zeroing defects of V under the friend, is checked explicitly,
+    also when q_dim = 0 or V = 0 (failure indicates a tolerance problem,
+    since V guarantees solvability).  Off V the friend acts as zero.
     """
-    if V.dim == 0:
-        return np.zeros((cf.q_dim, cf.r))
     W = V.basis
     Pp = V.perp_projector()
     lhs = np.vstack([cf.D_tilde, Pp @ cf.G])
     rhs = -np.vstack([cf.C_tilde @ W, Pp @ cf.A_tilde @ W])
-    N = np.linalg.qr(L, mode="complete")[0][:, L.shape[1]:]
-    Q, R = np.linalg.qr(lhs @ N)
-    U = N @ solve_triangular(R, Q.T @ rhs)
+    N = complement_basis(L)
+    U = N @ thin_qr_solve(lhs @ N, rhs)[1]
     scale = 1.0 + float(np.linalg.norm(cf.A_tilde)) + float(np.linalg.norm(cf.G))
     require("friend feasibility", np.linalg.norm(lhs @ U - rhs),
             IDENTITY_TOL * scale)

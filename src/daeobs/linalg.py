@@ -8,12 +8,16 @@ a singular value sigma is treated as zero when
 
 with ``rank_tol`` defaulting to :data:`DEFAULT_RANK_TOL`; :func:`_rank`
 is the one place that cut is made.  Subspaces are always stored with
-orthonormal bases (obtained from SVDs), which keeps membership tests well
-conditioned.  The two matrices the package pseudo-inverts (E C_s in
-:func:`daeobs.lti.assemble`, L in
-:func:`daeobs.equivalence.build_equivalence`) have full column rank by
-construction, so each is inverted through a thin QR and no rank is
-decided there.
+orthonormal bases (obtained from SVDs, or from the complete QR of
+:func:`complement_basis`), which keeps membership tests well conditioned.
+The three matrices the package solves with (E C_s for Lambda in
+:func:`daeobs.lti.assemble`, L1 in
+:func:`daeobs.equivalence.build_equivalence`, K N in
+:func:`daeobs.geometric.friend`) have full column rank by construction,
+so each goes through the one thin-QR solve :func:`thin_qr_solve` and no
+rank is decided there.  Empty matrices are left to numpy, whose SVD, QR,
+norm and eigenvalues return the identity or zero-width factors, 0.0 and
+an empty spectrum for them.
 
 Weights are decided the same way: :func:`_require_symmetric` is the one
 symmetry decision (cut at ``SYMMETRY_TOL``), and :func:`require_spd` decides
@@ -30,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import InputError, NotPositiveDefiniteError
 
@@ -68,18 +73,6 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
-
-
-def _svd(M: np.ndarray, full: bool = True):
-    """SVD that tolerates empty matrices; ``full=False`` keeps only the
-    min(m, n) leading singular vectors on each side."""
-    m, n = M.shape
-    if m == 0 or n == 0:
-        if full:
-            return np.eye(m), np.zeros(0), np.eye(n)
-        return np.zeros((m, 0)), np.zeros(0), np.zeros((0, n))
-    U, s, Vt = np.linalg.svd(M, full_matrices=full)
-    return U, s, Vt
 
 
 def _rank(s: np.ndarray, shape, rank_tol: float, scale: float = 0.0) -> int:
@@ -155,12 +148,31 @@ def kernel_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
     magnitude ``scale`` do not shrink the kernel.
     """
     M = as_matrix(M)
-    m, n = M.shape
-    if m == 0 or not np.any(M):
-        return Subspace.full(n)
-    _, s, Vt = _svd(M)
+    if not np.any(M):
+        return Subspace.full(M.shape[1])
+    _, s, Vt = np.linalg.svd(M)
     r = _rank(s, M.shape, rank_tol, scale)
     return Subspace(Vt[r:].T.copy())
+
+
+def complement_basis(Y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of Im Y, for Y of
+    full column rank: the trailing columns of one complete QR (I when Y
+    has no columns)."""
+    return np.linalg.qr(Y, mode="complete")[0][:, Y.shape[1]:].copy()
+
+
+def thin_qr_solve(A: np.ndarray, B: np.ndarray | None = None):
+    """Thin QR A = Q R of a full-column-rank A, returned as Q with
+    R^{-1} (Q' B), or R^{-1} Q' (A's pseudoinverse) when B is None.
+
+    No rank is decided.  With no columns LAPACK is not called.  An exactly
+    zero R_ii makes dtrtrs return Q' B unsolved, so the caller's identity
+    check (A^+ A = I, or a residual) fails.
+    """
+    Q, R = np.linalg.qr(A)
+    rhs = Q.T if B is None else Q.T @ B
+    return Q, dtrtrs(R, rhs)[0] if A.shape[1] else rhs
 
 
 def _require_symmetric(M, name: str) -> np.ndarray:

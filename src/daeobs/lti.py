@@ -13,7 +13,8 @@ C_inp v + D_inp g), are exactly the DAE's trajectory pairs:
 
 E C_s = S^{-1} [W; 0] has full column rank n_hat by construction (S is
 invertible and W is the orthonormal V* basis), so no rank is decided
-here: a thin QR, E C_s = Q R, gives X = Im Q and Lambda = R^{-1} Q^T.
+here: the thin-QR solve :func:`daeobs.linalg.thin_qr_solve`, E C_s = Q R,
+gives X = Im Q and Lambda = R^{-1} Q^T.
 Structural identities enforced on every build: E D_s = 0 and
 Lambda (E C_s) = I, which fails for an E C_s that is rank deficient or
 too ill conditioned to invert.  Their measured defects are kept in
@@ -25,12 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .dae import CanonicalForm, DaeSystem, canonical_form
 from .errors import IDENTITY_TOL, InputError, require
 from .geometric import OutputNullingData, output_nulling
-from .linalg import DEFAULT_RANK_TOL, Subspace, as_vector
+from .linalg import DEFAULT_RANK_TOL, Subspace, as_vector, thin_qr_solve
 from .signals import SampledSignal, integrate_lti
 
 
@@ -99,7 +99,8 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData) -> ConstructionRecord:
 
     ``ond`` may come from :func:`daeobs.geometric.output_nulling` or carry
     any other legal basis/friend/L choice; all choices yield feedback-
-    equivalent systems.
+    equivalent systems.  X = Im Q and Lambda = R^{-1} Q' come from one
+    :func:`daeobs.linalg.thin_qr_solve` of E C_s.
     """
     sys = cf.sys
     n, r = cf.n, cf.r
@@ -126,12 +127,7 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData) -> ConstructionRecord:
 
     E = sys.E
     ECs = E @ C_s
-    # E C_s = S^{-1} [W; 0] has full column rank, so its pseudoinverse is
-    # R^{-1} Q' from a thin QR and X = Im Q.  LAPACK rejects an empty
-    # system.  An exactly zero R_ii makes dtrtrs return Q' unsolved; then
-    # (Lambda E C_s)_ii = R_ii = 0 and the identity below fails by 1.
-    Q, R = np.linalg.qr(ECs)
-    Lambda = dtrtrs(R, Q.T)[0] if n_hat else Q.T
+    Q, Lambda = thin_qr_solve(ECs)
     checks = {
         "E_Ds": require("E D_s = 0", np.linalg.norm(E @ D_s),
                         IDENTITY_TOL * (1.0 + float(np.linalg.norm(E)))),

@@ -108,7 +108,7 @@ class Observer:
 
     @property
     def spectrum(self) -> np.ndarray:
-        return np.linalg.eigvals(self.A_o) if self.A_o.size else np.zeros(0, complex)
+        return np.linalg.eigvals(self.A_o)
 
 
 def q0_bar(rec: ConstructionRecord, Q0) -> np.ndarray:

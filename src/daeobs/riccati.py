@@ -56,7 +56,6 @@ from .errors import (
 )
 from .linalg import (
     _rank,
-    _svd,
     as_matrix,
     require_psd,
     require_spd,
@@ -121,7 +120,7 @@ class RiccatiSolution:
 
     @cached_property
     def closed_loop_spectrum(self) -> np.ndarray:
-        return np.linalg.eigvals(self.A_cl) if self.A_cl.size else np.zeros(0, complex)
+        return np.linalg.eigvals(self.A_cl)
 
     @property
     def checks(self) -> dict[str, tuple[float, float]]:
@@ -170,7 +169,7 @@ def is_stabilizable(A_l, B_l) -> bool:
     shape = (n, n + B.shape[1])
     scale = max(float(np.linalg.norm(A)), float(np.linalg.norm(B)))
     while A.shape[0]:
-        U, s, _ = _svd(B)
+        U, s, _ = np.linalg.svd(B)
         k = _rank(s, shape, STAIRCASE_RANK_TOL, scale)
         if k == 0:
             lam = np.linalg.eigvals(A)

@@ -20,7 +20,6 @@ from daeobs.linalg import (
     DEFAULT_RANK_TOL,
     Subspace,
     _rank,
-    _svd,
     as_matrix,
     as_vector,
     require_spd,
@@ -44,12 +43,12 @@ def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL,
     being inverted into noise.
     """
     M = as_matrix(M)
-    U, s, Vt = _svd(M)
+    U, s, Vt = np.linalg.svd(M)
     return _pinv(U, s, Vt, _rank(s, M.shape, rank_tol, scale))
 
 
 def _pinv(U: np.ndarray, s: np.ndarray, Vt: np.ndarray, r: int) -> np.ndarray:
-    """Pseudoinverse read off an SVD (from ``_svd``) cut at rank r."""
+    """Pseudoinverse read off a full SVD cut at rank r."""
     if r == 0:
         return np.zeros((Vt.shape[0], U.shape[0]))
     return (Vt[:r].T / s[:r]) @ U[:, :r].T
@@ -87,7 +86,7 @@ def image_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
     m, n = M.shape
     if n == 0 or not np.any(M):
         return Subspace.zero(m)
-    U, s, _ = _svd(M)
+    U, s, _ = np.linalg.svd(M)
     r = _rank(s, M.shape, rank_tol, scale)
     return Subspace(U[:, :r].copy())
 
@@ -157,9 +156,9 @@ def nested_step(cf, Q, c: int, rank_tol: float = 1e-10):
     p, q = cf.D_tilde.shape
     M = np.vstack([np.hstack([W_perp.T @ cf.A_tilde @ W, W_perp.T @ cf.G]),
                    np.hstack([cf.C_tilde @ W, cf.D_tilde])])
-    _, s, Vt = _svd(M)
+    _, s, Vt = np.linalg.svd(M)
     k = _rank(s, (r + p, r + q), rank_tol, _system_scale(cf))
-    U, s_q, _ = _svd(Vt[:k, c:])
+    U, s_q, _ = np.linalg.svd(Vt[:k, c:])
     kept = _rank(s_q, (c, c + q - k), rank_tol, 1.0)
     c_next = c - k + kept
     if c_next in (0, c):
@@ -180,7 +179,7 @@ def nested_step_direct(cf, Q, c: int, rank_tol: float = 1e-10):
     p, q = cf.D_tilde.shape
     M = np.vstack([np.hstack([W_perp.T @ cf.A_tilde @ W, W_perp.T @ cf.G]),
                    np.hstack([cf.C_tilde @ W, cf.D_tilde])])
-    _, s, Vt = _svd(M)
+    _, s, Vt = np.linalg.svd(M)
     k = _rank(s, (cf.r + p, cf.r + q), rank_tol, _system_scale(cf))
     return W @ image_basis(Vt[k:, :c].T, rank_tol, scale=1.0).basis
 
@@ -236,7 +235,7 @@ def schur_staircase_stabilizable(A, B) -> bool:
             f"stable/unstable Schur split of A failed: {exc}") from exc
     A, B = T[n_stable:, n_stable:], Z[:, n_stable:].T @ B
     while A.shape[0]:
-        U, s, _ = _svd(B)
+        U, s, _ = np.linalg.svd(B)
         k = _rank(s, shape, STAIRCASE_RANK_TOL, scale)
         if k == 0:
             return False
@@ -406,7 +405,7 @@ def q0_bar_reference(F, Q0, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if F.shape != (n, n) or Q0inv.shape[0] != n:
         raise InputError("F must be square and Q0 of matching size")
     # F^T+ and ker F^T from one SVD (kernel_basis treats F = 0 as all of R^n).
-    Us, s, Vt = _svd(F.T)
+    Us, s, Vt = np.linalg.svd(F.T)
     rank = _rank(s, F.shape, rank_tol)
     Ftp = _pinv(Us, s, Vt, rank)
     U = Vt[rank:].T.copy() if np.any(F) else np.eye(n)

@@ -1,3 +1,4 @@
+import ctypes
 import json
 
 import numpy as np
@@ -14,8 +15,10 @@ from daeobs import (
 )
 from daeobs.linalg import (
     Subspace,
+    complement_basis,
     kernel_basis,
     require_spd,
+    thin_qr_solve,
 )
 from daeobs.problem_io import load_problem, matrix_to_json
 
@@ -98,6 +101,61 @@ class TestKernelImage:
 
     def test_kernel_of_empty_rows_is_full(self):
         assert kernel_basis(np.zeros((0, 4))).dim == 4
+
+
+def _spread_matrix(seed, rows, cols, decades):
+    """rows x cols matrix of full column rank with singular values spread
+    evenly over ``decades`` decades."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+    V = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    return (U * np.logspace(0, -decades, cols)) @ V.T, rng
+
+
+class TestThinQrSolve:
+    """The one solve with a full-column-rank matrix: Q and R^{-1} (Q' B),
+    or R^{-1} Q' without B, from a thin QR."""
+
+    @pytest.mark.parametrize("with_rhs", [False, True], ids=["pinv", "rhs"])
+    @pytest.mark.parametrize("rows, cols, decades", [
+        (5, 3, 0), (8, 8, 2), (12, 4, 4), (6, 1, 6), (20, 9, 6)])
+    def test_matches_the_pseudoinverse(self, rows, cols, decades, with_rhs):
+        A, rng = _spread_matrix(rows + cols + decades, rows, cols, decades)
+        B = rng.standard_normal((rows, 3)) if with_rhs else None
+        Q, X = thin_qr_solve(A, B)
+        ref = pseudoinverse(A) if B is None else pseudoinverse(A) @ B
+        assert Q.shape == (rows, cols) and X.shape == ref.shape
+        assert np.linalg.norm(Q.T @ Q - np.eye(cols)) <= 1e-14 * cols
+        assert np.linalg.norm(X - ref) <= \
+            1e-14 * 10.0 ** decades * rows * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("rhs_cols", [None, 0, 3])
+    def test_no_columns_calls_no_lapack(self, rhs_cols, capfd):
+        # LAPACK rejects an empty triangular system with a message that C
+        # stdio buffers; fflush(NULL) makes it reach the captured streams
+        B = None if rhs_cols is None else np.ones((4, rhs_cols))
+        Q, X = thin_qr_solve(np.zeros((4, 0)), B)
+        ctypes.CDLL(None).fflush(None)
+        assert Q.shape == (4, 0)
+        assert X.shape == (0, 4 if B is None else rhs_cols)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("with_rhs", [False, True], ids=["pinv", "rhs"])
+    def test_exactly_zero_diagonal_leaves_the_system_unsolved(self, with_rhs):
+        A = np.array([[2.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        B = np.arange(6.0).reshape(3, 2) if with_rhs else None
+        Q, X = thin_qr_solve(A, B)
+        assert np.array_equal(X, Q.T if B is None else Q.T @ B)
+
+    @pytest.mark.parametrize("rows, cols", [(4, 0), (5, 2), (6, 6), (0, 0)])
+    def test_complement_basis(self, rows, cols):
+        Y = _spread_matrix(rows, rows, cols, 3)[0]
+        N = complement_basis(Y)
+        assert N.shape == (rows, rows - cols)
+        if cols == 0:
+            assert np.array_equal(N, np.eye(rows))
+        assert np.linalg.norm(N.T @ N - np.eye(rows - cols)) <= 1e-14 * rows
+        assert np.linalg.norm(N.T @ Y) <= 1e-14 * rows
 
 
 class TestInvSqrtSpd:
