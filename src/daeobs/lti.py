@@ -165,6 +165,4 @@ def output_trajectory_from_v0(lti: AssociatedLti, v0,
     v = integrate_lti(lti.A_l, lti.B_l, v0, g)
     x_vals = lti.C_s @ v.values + lti.D_s @ g.values
     u_vals = lti.C_inp @ v.values + lti.D_inp @ g.values
-    x = SampledSignal(g.grid.copy(), x_vals)
-    u = SampledSignal(g.grid.copy(), u_vals)
-    return x, u, v
+    return g.with_values(x_vals), g.with_values(u_vals), v

@@ -8,6 +8,12 @@ step is exactly the recurrence  x+ = M x + N0 u_i + N1 u_{i+1};  the exact
 RK4 propagator (M, N0, N1) is read off the step formula once, and the
 recurrence runs as a doubling scan of about log2 N matmuls, so no Python
 loop runs per step.
+
+A signal's grid is checked once, when the signal is built from a caller's
+array, and kept as a private read-only copy.  Signals derived on the same
+grid (rescalings, integrated states, outputs) are built by
+``SampledSignal.with_values``, which shares that grid object and checks
+only the values.
 """
 
 from __future__ import annotations
@@ -28,27 +34,35 @@ class SampledSignal:
     """A vector-valued signal sampled on a strictly increasing time grid.
 
     ``values`` has shape (dim, len(grid)); dim may be zero for the empty
-    signal of a system without inputs.
+    signal of a system without inputs.  ``grid`` is a private read-only
+    copy of the caller's array.
     """
 
     grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = np.array(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size < 1:
             raise InputError("grid must be a nonempty 1-D array")
         if not np.all(np.isfinite(grid)):
             raise InputError("grid contains non-finite entries")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise InputError("grid must be strictly increasing")
-        values = as_matrix(self.values, "signal values")
-        if values.shape[1] != grid.size:
-            raise InputError(
-                f"signal has {values.shape[1]} samples but grid has {grid.size}"
-            )
+        grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _signal_values(self.values, grid.size))
+
+    def with_values(self, values) -> "SampledSignal":
+        """A signal with ``values`` on this signal's grid object.
+
+        The grid was checked when this signal was built and cannot have
+        changed since, so only the values are checked.
+        """
+        sig = object.__new__(type(self))
+        object.__setattr__(sig, "grid", self.grid)
+        object.__setattr__(sig, "values", _signal_values(values, self.grid.size))
+        return sig
 
     @property
     def dim(self) -> int:
@@ -57,13 +71,7 @@ class SampledSignal:
     @property
     def step(self) -> float:
         """Uniform grid step; raises for non-uniform grids."""
-        if self.grid.size < 2:
-            return 0.0
-        steps = np.diff(self.grid)
-        h = float(steps[0])
-        if np.any(np.abs(steps - h) > GRID_RTOL * max(h, 1.0)):
-            raise InputError("non-uniform grid where a uniform one is required")
-        return h
+        return _uniform_step(self.grid)
 
     @classmethod
     def zeros(cls, dim: int, grid) -> "SampledSignal":
@@ -75,7 +83,33 @@ class SampledSignal:
         idx = int(np.searchsorted(self.grid, t1 - GRID_RTOL * max(1.0, abs(t1))))
         if idx >= self.grid.size or abs(self.grid[idx] - t1) > GRID_RTOL * max(1.0, abs(t1)):
             raise InputError(f"t1 = {t1} is not a grid point of the signal")
-        return SampledSignal(self.grid[: idx + 1].copy(), self.values[:, : idx + 1].copy())
+        values = self.values[:, : idx + 1].copy()
+        if idx == self.grid.size - 1:
+            return self.with_values(values)
+        return SampledSignal(self.grid[: idx + 1], values)
+
+
+def _signal_values(values, size: int) -> np.ndarray:
+    """Finite 2-D signal values with one column per grid point."""
+    values = as_matrix(values, "signal values")
+    if values.shape[1] != size:
+        raise InputError(f"signal has {values.shape[1]} samples but grid has {size}")
+    return values
+
+
+def _uniform_step(grid: np.ndarray) -> float:
+    """Step of a finite, strictly increasing, uniform grid; raises otherwise."""
+    if grid.size < 2:
+        return 0.0
+    if not (np.isfinite(grid[0]) and np.isfinite(grid[-1])):
+        raise InputError("grid contains non-finite entries")
+    steps = np.diff(grid)
+    if not np.all(steps > 0):
+        raise InputError("grid must be strictly increasing")
+    h = float(steps[0])
+    if np.any(np.abs(steps - h) > GRID_RTOL * max(h, 1.0)):
+        raise InputError("non-uniform grid where a uniform one is required")
+    return h
 
 
 def uniform_grid(t1: float, step: float) -> np.ndarray:
@@ -145,7 +179,7 @@ def integrate_lti(A, B, x0, u: SampledSignal) -> SampledSignal:
     while s <= N:
         X[:, s:] += P @ X[:, :-s]
         s, P = 2 * s, P @ P
-    return SampledSignal(u.grid.copy(), X)
+    return u.with_values(X)
 
 
 def simpson(grid, vals) -> float:
@@ -161,7 +195,8 @@ def simpson(grid, vals) -> float:
     N = grid.size - 1
     if N < 1:
         return 0.0
-    h = SampledSignal(grid, vals.reshape(1, -1)).step
+    h = _uniform_step(grid)
+    as_matrix(vals.reshape(1, -1), "signal values")
     if N == 1:
         return float(0.5 * h * (vals[0] + vals[1]))
     w = np.zeros(N + 1)

@@ -28,6 +28,7 @@ from daeobs.linalg import (
 from daeobs.lti import AssociatedLti, output_trajectory_from_v0
 from daeobs.riccati import LqWeights, RiccatiSolution
 from daeobs.signals import SampledSignal, quadratic_form_series, simpson
+from daeobs.simulate import NOISE_MAX_FREQ
 
 
 def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL,
@@ -76,6 +77,20 @@ def rk4_loop(A, B, x0, h: float, U) -> np.ndarray:
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[:, i + 1] = x
     return out
+
+
+def smooth_signal_reference(rng, dim: int, grid) -> np.ndarray:
+    """The sampled noise of ``simulate._smooth_signal`` as a plain loop:
+    per channel, three (amp, freq, phase) draws and one full-grid sine
+    each."""
+    vals = np.zeros((dim, grid.size))
+    for i in range(dim):
+        for _ in range(3):
+            amp = rng.uniform(-1.0, 1.0)
+            freq = rng.uniform(0.05, NOISE_MAX_FREQ)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            vals[i] += amp * np.sin(freq * grid + phase)
+    return vals
 
 
 def image_basis(M, rank_tol: float = DEFAULT_RANK_TOL,

@@ -48,6 +48,35 @@ class TestSampledSignal:
         with pytest.raises(InputError):
             sig.truncated(0.3)
 
+    def test_grid_is_a_private_read_only_copy(self):
+        g = np.linspace(0.0, 1.0, 5)
+        sig = SampledSignal(g, np.zeros((1, 5)))
+        g[2] = 5.0
+        np.testing.assert_array_equal(sig.grid, np.linspace(0.0, 1.0, 5))
+        assert sig.step == 0.25
+        with pytest.raises(ValueError):
+            sig.grid[3] = -1.0
+
+    def test_with_values_shares_the_grid_and_checks_only_values(self, monkeypatch):
+        sig = SampledSignal(uniform_grid(1.0, 0.25), np.zeros((1, 5)))
+        diffs = []
+        diff = np.diff
+
+        def counted(*args, **kwargs):
+            diffs.append(args)
+            return diff(*args, **kwargs)
+
+        monkeypatch.setattr(np, "diff", counted)
+        derived = sig.with_values(np.ones((3, 5)))
+        assert derived.grid is sig.grid
+        assert derived.values.shape == (3, 5)
+        assert sig.truncated(1.0).grid is sig.grid
+        assert diffs == []
+        with pytest.raises(InputError, match="4 samples but grid has 5"):
+            sig.with_values(np.ones((1, 4)))
+        with pytest.raises(InputError, match="non-finite"):
+            sig.with_values(np.full((1, 5), np.nan))
+
 
 class TestIntegrator:
     def test_constant_state(self):
@@ -155,6 +184,16 @@ class TestQuadrature:
         vals = np.random.default_rng(N).standard_normal(N + 1)
         expected = h * float(np.dot(weights, vals))
         assert abs(simpson(grid, vals) - expected) <= 1e-14 * (1 + abs(expected))
+
+    @pytest.mark.parametrize("grid, message", [
+        ([0.0, 0.5, 2.0], "non-uniform grid where a uniform one is required"),
+        ([0.0, 1.0, 1.0], "grid must be strictly increasing"),
+        ([2.0, 1.0, 0.0], "grid must be strictly increasing"),
+    ])
+    def test_simpson_rejects_a_grid_that_is_not_uniform_and_increasing(
+            self, grid, message):
+        with pytest.raises(InputError, match=message):
+            simpson(np.array(grid), np.ones(3))
 
     def test_simpson_vs_trapezoid_on_smooth(self):
         grid = np.linspace(0.0, 3.0, 3001)

@@ -21,13 +21,15 @@ from daeobs.observer import worst_case_bound
 from daeobs.problem_io import load_problem
 from daeobs.signals import SampledSignal, uniform_grid
 from daeobs.simulate import (
+    NOISE_MAX_FREQ,
+    _smooth_signal,
     clean_realization,
     noise_system,
     run_estimation,
     run_observer,
 )
 
-from .oracles import optimal_cost
+from .oracles import optimal_cost, smooth_signal_reference
 from .test_observer import classical_problem
 
 
@@ -90,6 +92,57 @@ class TestSampleAdmissible:
         for seed in range(5):
             r = sample_admissible(prob, 3.0, seed=seed)
             assert rec.lti.X.contains_vector(r.x0)
+
+
+class TestSmoothSignal:
+    # (size, t1): one, two and three points; around the perfect square
+    # 144 = 12^2, where the block length B = ceil(sqrt(size)) and the cut
+    # of the last block change; the Monte-Carlo grid, whose 7501 points are
+    # not a square; and 20001 points to t1 = 1000, where the argument
+    # freq t + phase reaches 500.
+    SIZES = [(1, 0.0), (2, 15.0), (3, 15.0), (143, 15.0), (144, 15.0),
+             (145, 15.0), (7501, 15.0), (20001, 1000.0)]
+
+    @pytest.mark.parametrize("dim", [0, 1, 3, 5])
+    @pytest.mark.parametrize("size, t1", SIZES)
+    def test_matches_the_full_grid_sines(self, size, t1, dim):
+        grid = uniform_grid(t1, t1 / (size - 1) if size > 1 else 1.0)
+        assert grid.size == size
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            vals = _smooth_signal(rng, dim, grid)
+            ref = smooth_signal_reference(ref_rng, dim, grid)
+            assert vals.shape == (dim, size)
+            assert rng.uniform() == ref_rng.uniform()
+            # Both sides round the argument freq t + phase, and the blocked
+            # side splits t_j into t_bB + (t_c - t_0): c eps (1 + freq t1)
+            # per unit of amplitude, with c = 1.3 at most over 20 seeds.
+            amp = np.random.default_rng(seed).uniform(-1.0, 1.0, (dim, 3, 3))
+            amp_sum = np.abs(amp[:, :, 0]).sum(axis=1)
+            bound = 8 * np.finfo(float).eps * (1 + NOISE_MAX_FREQ * t1) * amp_sum
+            assert np.all(np.abs(vals - ref) <= bound[:, None])
+
+    @pytest.mark.parametrize("name", ["est_classical.json", "est_rank1.json"])
+    def test_realizations_match_the_reference_sampler(self, name, monkeypatch):
+        import daeobs.simulate
+        prob = load_problem(str(data_path(name))).problem
+        synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R)
+        obsv = synth.for_ell(prob.ell)
+        rec = construct(noise_system(prob))
+        t1, step = 15.0, 2e-3
+
+        def draw(seed):
+            real = sample_admissible(prob, t1, seed=seed, step=step, record=rec)
+            return real.rho, estimation_experiment(prob, obsv, real, t1,
+                                                   record=rec)[1]
+
+        blocked = [draw(seed) for seed in range(10)]
+        monkeypatch.setattr(daeobs.simulate, "_smooth_signal",
+                            smooth_signal_reference)
+        for seed, (rho, fin) in enumerate(blocked):
+            ref_rho, ref_fin = draw(seed)
+            assert abs(rho - ref_rho) <= 1e-12
+            assert abs(fin - ref_fin) <= 1e-12
 
 
 class TestRunObserver:
