@@ -99,7 +99,7 @@ class TestSmoothSignal:
     # 144 = 12^2, where the block length B = ceil(sqrt(size)) and the cut
     # of the last block change; the Monte-Carlo grid, whose 7501 points are
     # not a square; and 20001 points to t1 = 1000, where the argument
-    # freq t + phase reaches 500.
+    # freq t + phase reaches about 500.
     SIZES = [(1, 0.0), (2, 15.0), (3, 15.0), (143, 15.0), (144, 15.0),
              (145, 15.0), (7501, 15.0), (20001, 1000.0)]
 
