@@ -168,10 +168,6 @@ class ObserverSynthesis:
     def _sigma(self, row: np.ndarray) -> float:
         return max(float(row @ self.ricc.P @ row), 0.0)
 
-    def worst_case_error(self, ell) -> float:
-        """sigma = ell^T F Lambda^T P Lambda F^T ell for an estimable ell."""
-        return self._sigma(self._output_row(ell))
-
     def for_ell(self, ell) -> Observer:
         row = self._output_row(ell)
         return Observer(

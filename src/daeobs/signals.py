@@ -9,16 +9,17 @@ RK4 propagator (M, N0, N1) is read off the step formula once, and the
 recurrence runs as a doubling scan of about log2 N matmuls, so no Python
 loop runs per step.
 
-A signal's grid is checked once, when the signal is built from a caller's
-array, and kept as a private read-only copy.  Signals derived on the same
-grid (rescalings, integrated states, outputs) are built by
-``SampledSignal.with_values``, which shares that grid object and checks
+A signal's grid is uniform by construction: it is checked once, when the
+signal is built from a caller's array, and kept as a private read-only
+copy together with its step.  Signals derived on the same grid
+(rescalings, integrated states, outputs) are built by
+``SampledSignal.with_values``, which shares that grid and step and checks
 only the values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -31,15 +32,17 @@ GRID_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """A vector-valued signal sampled on a strictly increasing time grid.
+    """A vector-valued signal sampled on a uniform time grid.
 
     ``values`` has shape (dim, len(grid)); dim may be zero for the empty
     signal of a system without inputs.  ``grid`` is a private read-only
-    copy of the caller's array.
+    copy of the caller's array, and ``step`` its spacing (0.0 for a single
+    point), decided once when the signal is built.
     """
 
     grid: np.ndarray
     values: np.ndarray
+    step: float = field(init=False)
 
     def __post_init__(self):
         grid = np.array(self.grid, dtype=float)
@@ -47,11 +50,16 @@ class SampledSignal:
             raise InputError("grid must be a nonempty 1-D array")
         if not np.all(np.isfinite(grid)):
             raise InputError("grid contains non-finite entries")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        steps = np.diff(grid)
+        if not (steps > 0).all():
             raise InputError("grid must be strictly increasing")
+        step = float(steps[0]) if steps.size else 0.0
+        if (np.abs(steps - step) > GRID_RTOL * max(step, 1.0)).any():
+            raise InputError("non-uniform grid where a uniform one is required")
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", _signal_values(self.values, grid.size))
+        object.__setattr__(self, "step", step)
 
     def with_values(self, values) -> "SampledSignal":
         """A signal with ``values`` on this signal's grid object.
@@ -62,31 +70,28 @@ class SampledSignal:
         sig = object.__new__(type(self))
         object.__setattr__(sig, "grid", self.grid)
         object.__setattr__(sig, "values", _signal_values(values, self.grid.size))
+        object.__setattr__(sig, "step", self.step)
         return sig
 
     @property
     def dim(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def step(self) -> float:
-        """Uniform grid step; raises for non-uniform grids."""
-        return _uniform_step(self.grid)
-
     @classmethod
     def zeros(cls, dim: int, grid) -> "SampledSignal":
-        grid = np.asarray(grid, dtype=float)
-        return cls(grid, np.zeros((dim, grid.size)))
+        return cls(grid, np.zeros((dim, np.size(grid))))
 
     def truncated(self, t1: float) -> "SampledSignal":
-        """Restriction to [0, t1]; t1 must be a grid point."""
-        idx = int(np.searchsorted(self.grid, t1 - GRID_RTOL * max(1.0, abs(t1))))
-        if idx >= self.grid.size or abs(self.grid[idx] - t1) > GRID_RTOL * max(1.0, abs(t1)):
+        """Restriction to [grid[0], t1]; t1 must be a grid point.  At the
+        last grid point this is the signal itself."""
+        idx = np.rint((t1 - self.grid[0]) / self.step) if self.step else 0.0
+        if not (0 <= idx < self.grid.size and abs(self.grid[int(idx)] - t1)
+                <= GRID_RTOL * max(1.0, abs(t1))):
             raise InputError(f"t1 = {t1} is not a grid point of the signal")
-        values = self.values[:, : idx + 1].copy()
-        if idx == self.grid.size - 1:
-            return self.with_values(values)
-        return SampledSignal(self.grid[: idx + 1], values)
+        end = int(idx) + 1
+        if end == self.grid.size:
+            return self
+        return SampledSignal(self.grid[:end], self.values[:, :end].copy())
 
 
 def _signal_values(values, size: int) -> np.ndarray:
@@ -95,21 +100,6 @@ def _signal_values(values, size: int) -> np.ndarray:
     if values.shape[1] != size:
         raise InputError(f"signal has {values.shape[1]} samples but grid has {size}")
     return values
-
-
-def _uniform_step(grid: np.ndarray) -> float:
-    """Step of a finite, strictly increasing, uniform grid; raises otherwise."""
-    if grid.size < 2:
-        return 0.0
-    if not (np.isfinite(grid[0]) and np.isfinite(grid[-1])):
-        raise InputError("grid contains non-finite entries")
-    steps = np.diff(grid)
-    if not np.all(steps > 0):
-        raise InputError("grid must be strictly increasing")
-    h = float(steps[0])
-    if np.any(np.abs(steps - h) > GRID_RTOL * max(h, 1.0)):
-        raise InputError("non-uniform grid where a uniform one is required")
-    return h
 
 
 def uniform_grid(t1: float, step: float) -> np.ndarray:
@@ -145,7 +135,7 @@ def integrate_lti(A, B, x0, u: SampledSignal) -> SampledSignal:
     """Fixed-step RK4 integration of  xdot = A x + B u  along u's grid.
 
     The input is linearly interpolated at half steps; global error is
-    O(h^4).  Requires a uniform grid.
+    O(h^4).
 
     The steps are evaluated through the exact RK4 propagator as a
     doubling (log-depth prefix) scan: the input term of every step is one
@@ -176,26 +166,28 @@ def integrate_lti(A, B, x0, u: SampledSignal) -> SampledSignal:
     X[:, 0] = x0
     X[:, 1:] = N0 @ U[:, :-1] + N1 @ U[:, 1:]
     s, P = 1, M
-    while s <= N:
-        X[:, s:] += P @ X[:, :-s]
-        s, P = 2 * s, P @ P
+    # a diverging run overflows; it is reported below, whatever the warning filter
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s <= N:
+            X[:, s:] += P @ X[:, :-s]
+            s, P = 2 * s, P @ P
+    if not np.isfinite(X).all():
+        raise InputError(f"RK4 state is not finite at step {u.step:g}: the "
+                         "system is too stiff or unstable for this step")
     return u.with_values(X)
 
 
-def simpson(grid, vals) -> float:
-    """Composite Simpson rule on a uniform grid (O(h^4)).
+def simpson(h: float, vals) -> float:
+    """Composite Simpson rule for samples ``vals`` at uniform step ``h``,
+    the ``step`` of the signal they were taken on (O(h^4)).
 
     An odd interval count is handled with a 3/8 rule on the last three
     intervals, preserving the order.
     """
-    grid = np.asarray(grid, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    if grid.size != vals.size:
-        raise InputError("grid and values must have equal length")
-    N = grid.size - 1
+    N = vals.size - 1
     if N < 1:
         return 0.0
-    h = _uniform_step(grid)
     as_matrix(vals.reshape(1, -1), "signal values")
     if N == 1:
         return float(0.5 * h * (vals[0] + vals[1]))

@@ -101,7 +101,7 @@ def _smooth_signal(rng: np.random.Generator, dim: int,
 def _rho(prob: EstimationProblem, x0: np.ndarray, f: SampledSignal,
          eta: SampledSignal) -> float:
     running = quadratic_form_series(prob.Q, f) + quadratic_form_series(prob.R, eta)
-    return float(x0 @ prob.Q0 @ x0 + simpson(f.grid, running))
+    return float(x0 @ prob.Q0 @ x0 + simpson(f.step, running))
 
 
 def _rng(seed) -> np.random.Generator:
@@ -147,7 +147,8 @@ def clean_realization(prob: EstimationProblem, t1: float, seed: int,
     """Noise-free realization: f = 0, eta = 0, random consistent x0.
 
     Drawn through the input-free reduction, so the trajectory solves
-    d(Fx)/dt = A x exactly; x0 is normalized to unit length when nonzero.
+    d(Fx)/dt = A x exactly; a nonzero x0 is scaled onto the boundary of
+    the ellipsoid, x0^T Q0 x0 = 1.
     """
     rng = _rng(seed)
     rec = record if record is not None \
@@ -156,9 +157,9 @@ def clean_realization(prob: EstimationProblem, t1: float, seed: int,
     grid = uniform_grid(t1, step)
     v0 = rng.standard_normal(lti.n_hat)
     x0 = prob.obs.F @ (lti.C_s @ v0)
-    norm = float(np.linalg.norm(x0))
-    if norm > 0:
-        x0 = x0 / norm
+    rho = float(x0 @ prob.Q0 @ x0)
+    if rho > 0:
+        x0 = x0 / np.sqrt(rho)
     f = SampledSignal.zeros(prob.n, grid)
     return NoiseRealization(
         x0=x0,

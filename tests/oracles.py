@@ -449,6 +449,7 @@ def adversarial_error_lower_bound(prob, obsv, t1: float, step: float,
     rec = construct(noise_system(prob))
     lti = rec.lti
     grid = uniform_grid(t1, step)
+    h = SampledSignal.zeros(0, grid).step
     freqs = np.linspace(0.05, 1.6, n_modes)
     atoms_g, atoms_eta = [], []
     for ch in range(lti.k):
@@ -497,7 +498,7 @@ def adversarial_error_lower_bound(prob, obsv, t1: float, step: float,
             x0j, fj, ej = cols[j]
             run = np.einsum("it,ij,jt->t", fi, prob.Q, fj) \
                 + np.einsum("it,ij,jt->t", ei, prob.R, ej)
-            W[i, j] = W[j, i] = float(x0i @ prob.Q0 @ x0j + simpson(grid, run))
+            W[i, j] = W[j, i] = float(x0i @ prob.Q0 @ x0j + simpson(h, run))
     return float(L @ np.linalg.pinv(W, rcond=1e-10) @ L)
 
 
@@ -588,7 +589,7 @@ def evaluate_cost(lti: AssociatedLti, w: LqWeights, E, v0,
     g = g.truncated(t1)
     _, _, v = output_trajectory_from_v0(lti, v0, g)
     nu = SampledSignal(g.grid, lti.C_l @ v.values + lti.D_l @ g.values)
-    running = simpson(g.grid, quadratic_form_series(w.S(), nu))
+    running = simpson(g.step, quadratic_form_series(w.S(), nu))
     v_end = v.values[:, -1]
     return float(running + v_end @ M_term @ v_end)
 

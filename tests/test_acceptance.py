@@ -244,7 +244,7 @@ def test_criterion_8_appendix_equivalence():
     from daeobs.dae import dual_dae
     for name, prob in estimation_fixtures():
         synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R)
-        sigma_base = synth.worst_case_error(prob.ell)
+        sigma_base = synth.for_ell(prob.ell).sigma
         adj = dual_dae(prob.obs)
         for _ in range(5):
             rec2 = randomized_construction(construct(adj), rng)
@@ -252,7 +252,7 @@ def test_criterion_8_appendix_equivalence():
                                           dual_record=rec2)
             worst_value_dev = max(
                 worst_value_dev,
-                abs(synth2.worst_case_error(prob.ell) - sigma_base)
+                abs(synth2.for_ell(prob.ell).sigma - sigma_base)
                 / (1.0 + sigma_base))
     ok = worst_defect <= 1e-8 and worst_value_dev <= 1e-8
     report("criterion 8 (feedback equivalence of randomized builds)", ok,

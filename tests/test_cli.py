@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,39 @@ class TestSimulate:
         assert len(runs) == 3
         assert all(r["bound_ok"] for r in runs)
         assert all(r["rho"] <= 1.0 + 1e-9 for r in runs)
+
+    @pytest.mark.parametrize("scale", [0.25, 4.0, 100.0])
+    def test_clean_run_starts_on_the_ellipsoid(self, scale, tmp_path):
+        doc = json.loads(data_path("est_rank1.json").read_text())
+        doc["matrices"]["Q0"]["data"] = (scale * np.eye(3)).ravel().tolist()
+        path = tmp_path / "q0.json"
+        path.write_text(json.dumps(doc))
+        outdir = tmp_path / "sim"
+        assert run_cli(["simulate", path, "--clean", "--output-dir", outdir,
+                        "--horizon", "0.002", "--step", "0.001"]) == 0
+        run = json.loads((outdir / "summary.json").read_text())["result"]["runs"][0]
+        assert abs(run["rho"] - 1.0) <= 1e-12
+        assert run["bound_ok"]
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_diverging_run_exits_1_under_any_warning_filter(self, action,
+                                                           tmp_path, capsys):
+        # F shifted by 3e-9 I: the reduced system is far too stiff for RK4
+        # at this step, so the scan overflows
+        doc = json.loads(data_path("est_rank1.json").read_text())
+        doc["matrices"]["F"]["data"][0::4] = [v + 3e-9 for v in
+                                              doc["matrices"]["F"]["data"][0::4]]
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code = run_cli(["simulate", path, "--clean", "--output-dir",
+                            tmp_path / "sim", "--horizon", "2",
+                            "--step", "0.001"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: RK4 state is not finite at step 0.001: the " \
+            "system is too stiff or unstable for this step\n"
 
     def test_zero_functional_trace_is_zero(self, tmp_path):
         doc = json.loads(data_path("est_classical.json").read_text())

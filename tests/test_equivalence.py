@@ -171,14 +171,14 @@ class TestInvarianceOfSynthesis:
         from daeobs.dae import dual_dae
         prob = classical_problem()
         synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R)
-        sigma_base = synth.worst_case_error(prob.ell)
+        sigma_base = synth.for_ell(prob.ell).sigma
         adj = dual_dae(prob.obs)
         rng = np.random.default_rng(11)
         for _ in range(3):
             rec2 = randomized_construction(construct(adj), rng)
             synth2 = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R,
                                           dual_record=rec2)
-            sigma2 = synth2.worst_case_error(prob.ell)
+            sigma2 = synth2.for_ell(prob.ell).sigma
             assert abs(sigma2 - sigma_base) <= 1e-8 * (1 + sigma_base)
 
     def test_optimal_value_invariant_across_builds(self, reduced_instance_pool):

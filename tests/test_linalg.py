@@ -270,3 +270,31 @@ def test_numerical_rank_threshold_is_relative():
 def test_subspace_rejects_nonorthonormal_basis():
     with pytest.raises(InputError):
         Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestNumpyOnEmptyMatrices:
+    """numpy's answers for empty matrices that the reductions rely on in
+    place of empty-block branches; a numpy that answers differently fails
+    here rather than deep inside a reduction."""
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+    def test_svd(self, shape):
+        rows, cols = shape
+        U, s, Vt = np.linalg.svd(np.zeros(shape))
+        assert s.shape == (0,)
+        np.testing.assert_array_equal(U, np.eye(rows))
+        np.testing.assert_array_equal(Vt, np.eye(cols))
+        U, s, Vt = np.linalg.svd(np.zeros(shape), full_matrices=False)
+        assert (U.shape, s.shape, Vt.shape) == ((rows, 0), (0,), (0, cols))
+
+    def test_complete_qr_of_no_columns_is_the_identity(self):
+        Q, R = np.linalg.qr(np.zeros((3, 0)), mode="complete")
+        np.testing.assert_array_equal(Q, np.eye(3))
+        assert R.shape == (3, 0)
+
+    def test_norm_of_0x0_is_zero(self):
+        norm = np.linalg.norm(np.zeros((0, 0)))
+        assert norm == 0.0 and np.isfinite(norm)
+
+    def test_eigvals_of_0x0_is_empty(self):
+        assert np.linalg.eigvals(np.zeros((0, 0))).shape == (0,)

@@ -212,7 +212,7 @@ def reference_bound(synth, Q0, ell, t1: float) -> float:
     ECs = F.T @ synth.dual.lti.C_s
     weight = ECs.T @ q0_bar_reference(F, Q0) @ ECs
     vt = expm(synth.ctrl.A_c * t1) @ (synth.ctrl.B_c @ (F.T @ ell))
-    return synth.worst_case_error(ell) + max(float(vt @ weight @ vt), 0.0)
+    return synth.for_ell(ell).sigma + max(float(vt @ weight @ vt), 0.0)
 
 
 class TestTerminalWeight:
@@ -251,7 +251,7 @@ class TestTerminalWeight:
     def test_bound_needs_a_finite_nonnegative_horizon(self, t1):
         prob = load_problem(str(data_path("est_classical.json"))).problem
         synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R)
-        assert worst_case_bound(synth, prob.ell, 0.0) >= synth.worst_case_error(prob.ell)
+        assert worst_case_bound(synth, prob.ell, 0.0) >= synth.for_ell(prob.ell).sigma
         with pytest.raises(InputError, match="t1"):
             worst_case_bound(synth, prob.ell, t1)
 
@@ -325,7 +325,7 @@ class TestSynthesize:
                           np.array([[1.0, 0.0]]))
         synth = synthesize_estimator(obs, np.eye(2), np.eye(2), np.eye(1))
         with pytest.raises(InestimableError):
-            synth.worst_case_error([1.0, 0.0])
+            synth.for_ell([1.0, 0.0])
         with pytest.raises(InestimableError):
             worst_case_bound(synth, [1.0, 0.0], 20.0)
 
@@ -460,5 +460,5 @@ class TestObserverKernel:
         kern = np.column_stack([observer_kernel(obsv, t1, s) for s in grid])
         integrand = np.sum(kern * y.values, axis=0)
         from daeobs.signals import simpson
-        quad = simpson(grid, integrand)
+        quad = simpson(y.step, integrand)
         assert abs(quad - est.values[0, -1]) <= 1e-5 * (1 + abs(quad))

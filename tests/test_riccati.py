@@ -587,7 +587,7 @@ class TestCosts:
                           SampledSignal.zeros(0, grid))
         g_vals = -rs.K @ v.values
         nu = SampledSignal(grid, lti.C_l @ v.values + lti.D_l @ g_vals)
-        running = simpson(grid, quadratic_form_series(w.S(), nu))
+        running = simpson(nu.step, quadratic_form_series(w.S(), nu))
         assert abs(running - optimal_cost(rs, v0)) <= 1e-3 * (1 + running)
 
     def test_suboptimal_inputs_cost_more(self, reduced_instance_pool):

@@ -36,17 +36,39 @@ class TestSampledSignal:
             SampledSignal(np.array([0.0, 1.0]), np.zeros((1, 3)))
 
     def test_step_rejects_nonuniform(self):
-        sig = SampledSignal(np.array([0.0, 0.5, 2.0]), np.zeros((1, 3)))
         with pytest.raises(InputError):
-            _ = sig.step
+            SampledSignal(np.array([0.0, 0.5, 2.0]), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("grid, message", [
+        ([0.0, 0.5, 2.0], "non-uniform grid where a uniform one is required"),
+        ([0.0, 1.0, 1.0], "grid must be strictly increasing"),
+        ([2.0, 1.0, 0.0], "grid must be strictly increasing"),
+        ([0.0, np.nan, 2.0], "grid contains non-finite entries"),
+        ([0.0, 1.0, np.inf], "grid contains non-finite entries"),
+        ([np.nan], "grid contains non-finite entries"),
+    ], ids=["non-uniform", "repeated", "decreasing", "nan", "inf", "one-nan"])
+    def test_rejects_a_bad_grid_when_built(self, grid, message):
+        with pytest.raises(InputError, match=message):
+            SampledSignal(np.array(grid), np.ones((1, len(grid))))
 
     def test_truncated(self):
         grid = uniform_grid(1.0, 0.25)
         sig = SampledSignal(grid, np.arange(5.0).reshape(1, -1))
         cut = sig.truncated(0.5)
         assert cut.grid.size == 3
-        with pytest.raises(InputError):
-            sig.truncated(0.3)
+        assert cut.step == sig.step
+        np.testing.assert_array_equal(cut.values, [[0.0, 1.0, 2.0]])
+        assert sig.truncated(grid[-1]) is sig
+        assert sig.truncated(0.0).grid.size == 1
+        for t1 in (0.3, -0.25, 1.25, np.nan, np.inf):
+            with pytest.raises(InputError, match="not a grid point"):
+                sig.truncated(t1)
+        point = SampledSignal.zeros(1, [2.0])
+        assert point.step == 0.0
+        assert point.truncated(2.0) is point
+        for t1 in (0.0, np.nan):
+            with pytest.raises(InputError, match="not a grid point"):
+                point.truncated(t1)
 
     def test_grid_is_a_private_read_only_copy(self):
         g = np.linspace(0.0, 1.0, 5)
@@ -69,8 +91,9 @@ class TestSampledSignal:
         monkeypatch.setattr(np, "diff", counted)
         derived = sig.with_values(np.ones((3, 5)))
         assert derived.grid is sig.grid
+        assert sig.step == derived.step == 0.25
         assert derived.values.shape == (3, 5)
-        assert sig.truncated(1.0).grid is sig.grid
+        assert sig.truncated(1.0) is sig
         assert diffs == []
         with pytest.raises(InputError, match="4 samples but grid has 5"):
             sig.with_values(np.ones((1, 4)))
@@ -157,6 +180,12 @@ class TestIntegrator:
         assert _rel_dev(A, np.zeros((2, 0)), [1.0, -1.0], grid,
                         np.zeros((0, grid.size))) <= 1e-11
 
+    def test_diverging_run_is_an_input_error(self):
+        grid = uniform_grid(2.0, 1e-3)
+        with pytest.raises(InputError, match="not finite at step 0.001"):
+            integrate_lti(np.array([[-1e4]]), np.zeros((1, 0)), [1.0],
+                          SampledSignal.zeros(0, grid))
+
     def test_dimension_check(self):
         grid = uniform_grid(1.0, 0.1)
         with pytest.raises(InputError):
@@ -169,7 +198,7 @@ class TestQuadrature:
     def test_simpson_cubic_exact(self, n):
         grid = np.linspace(0.0, 2.0, n + 1)
         vals = grid ** 3 - grid
-        assert abs(simpson(grid, vals) - (4.0 - 2.0)) <= 1e-12
+        assert abs(simpson(2.0 / n, vals) - (4.0 - 2.0)) <= 1e-12
 
     @pytest.mark.parametrize("N, weights", [
         (1, [1 / 2, 1 / 2]),
@@ -180,25 +209,18 @@ class TestQuadrature:
     ])
     def test_simpson_weights(self, N, weights):
         h = 0.25
-        grid = h * np.arange(N + 1)
         vals = np.random.default_rng(N).standard_normal(N + 1)
         expected = h * float(np.dot(weights, vals))
-        assert abs(simpson(grid, vals) - expected) <= 1e-14 * (1 + abs(expected))
+        assert abs(simpson(h, vals) - expected) <= 1e-14 * (1 + abs(expected))
 
-    @pytest.mark.parametrize("grid, message", [
-        ([0.0, 0.5, 2.0], "non-uniform grid where a uniform one is required"),
-        ([0.0, 1.0, 1.0], "grid must be strictly increasing"),
-        ([2.0, 1.0, 0.0], "grid must be strictly increasing"),
-    ])
-    def test_simpson_rejects_a_grid_that_is_not_uniform_and_increasing(
-            self, grid, message):
-        with pytest.raises(InputError, match=message):
-            simpson(np.array(grid), np.ones(3))
+    def test_simpson_rejects_non_finite_values(self):
+        with pytest.raises(InputError, match="non-finite"):
+            simpson(0.5, [0.0, np.nan, 1.0])
 
     def test_simpson_vs_trapezoid_on_smooth(self):
         grid = np.linspace(0.0, 3.0, 3001)
         vals = np.exp(-grid) * np.sin(2 * grid) ** 2
-        s = simpson(grid, vals)
+        s = simpson(1e-3, vals)
         t = trapezoid(vals, grid)
         assert abs(s - t) <= 1e-6
         assert abs(s - t) > 0.0
