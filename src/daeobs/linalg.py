@@ -75,6 +75,12 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def block_diag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix diag(A, B) of two square matrices."""
+    n, m = A.shape[0], B.shape[0]
+    return np.block([[A, np.zeros((n, m))], [np.zeros((m, n)), B]])
+
+
 def _rank(s: np.ndarray, shape, rank_tol: float, scale: float = 0.0) -> int:
     """Number of singular values ``s`` (descending) of a matrix of the
     given shape above the relative cut-off, floored by ``scale``."""

@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag, expm
+from scipy.linalg import expm
 
 from .dae import ObservedDae, dual_dae, same_system
 from .errors import InestimableError, InputError, NotStabilizableError
-from .linalg import DEFAULT_RANK_TOL, as_vector, require_spd, symmetrize
+from .linalg import DEFAULT_RANK_TOL, as_vector, block_diag, require_spd, symmetrize
 from .lti import ConstructionRecord, construct
 from .riccati import (
     DEFAULT_ARE_TOL,

@@ -57,6 +57,7 @@ from .errors import (
 from .linalg import (
     _rank,
     as_matrix,
+    block_diag,
     require_psd,
     require_spd,
     symmetrize,
@@ -95,11 +96,7 @@ class LqWeights:
 
     def S(self) -> np.ndarray:
         """Block-diagonal running-cost weight diag(Q, R) on (x, u)."""
-        n, m = self.Q.shape[0], self.R.shape[0]
-        S = np.zeros((n + m, n + m))
-        S[:n, :n] = self.Q
-        S[n:, n:] = self.R
-        return S
+        return block_diag(self.Q, self.R)
 
 
 @dataclass(frozen=True)

@@ -171,18 +171,6 @@ def clean_realization(prob: EstimationProblem, t1: float, seed: int,
     )
 
 
-def run_observer(obsv: Observer, y: SampledSignal) -> SampledSignal:
-    """Drive the observer with a sampled output and return the scalar
-    estimate trace (s(0) = 0)."""
-    if y.dim != obsv.p:
-        raise InputError(
-            f"output signal dimension {y.dim} does not match observer "
-            f"input dimension {obsv.p}"
-        )
-    s = integrate_lti(obsv.A_o, obsv.B_o, np.zeros(obsv.n_hat), y)
-    return y.with_values(obsv.C_o @ s.values)
-
-
 def finite_horizon_infimum(lti: AssociatedLti, w: LqWeights, E, v0,
                            t1: float, n_steps: int) -> float:
     """Exact minimum of the finite-horizon cost over piecewise-constant
@@ -249,7 +237,8 @@ def _coupled_system(lti: AssociatedLti, H, obsv: Observer):
     The state is [v; s] and the input [g; eta]: the reduced plant
     vdot = A_l v + B_l g  emits  y = H (C_s v + D_s g) + eta,  which drives
     sdot = A_o s + B_o y.  Integrating both together evaluates y at the RK4
-    half steps exactly instead of interpolating its samples.
+    half steps from the plant state instead of interpolating its samples;
+    g and eta are still interpolated, so smooth noise keeps order 2.
     """
     n, m = lti.n_hat, obsv.n_hat
     k, p = lti.k, obsv.p

@@ -11,6 +11,8 @@ pieces and exist only for the tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.linalg import expm, solve_continuous_are
 
@@ -25,10 +27,20 @@ from daeobs.linalg import (
     require_spd,
     symmetrize,
 )
-from daeobs.lti import AssociatedLti, output_trajectory_from_v0
+from daeobs.lti import AssociatedLti, construct, output_trajectory_from_v0
 from daeobs.riccati import LqWeights, RiccatiSolution
-from daeobs.signals import SampledSignal, quadratic_form_series, simpson
-from daeobs.simulate import NOISE_MAX_FREQ
+from daeobs.signals import (
+    SampledSignal,
+    quadratic_form_series,
+    simpson,
+    uniform_grid,
+)
+from daeobs.simulate import (
+    NOISE_MAX_FREQ,
+    NoiseRealization,
+    noise_system,
+    run_estimation,
+)
 
 
 def pseudoinverse(M, rank_tol: float = DEFAULT_RANK_TOL,
@@ -430,27 +442,25 @@ def q0_bar_reference(F, Q0, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return symmetrize(D.T @ Q0inv @ D)
 
 
-def adversarial_error_lower_bound(prob, obsv, t1: float, step: float,
-                                  n_modes: int = 4) -> float:
+def adversarial_error_lower_bound(prob, obsv, t1: float, step: float) -> float:
     """Exact worst-case squared error over a finite-dimensional family of
     admissible realizations.
 
     The final estimation error is linear in (v0, g, eta) and the ellipsoid
     radius rho is a quadratic form, so over the span of a finite atom set
-    (reduced initial states, sinusoid noise modes) the supremum of err^2
-    subject to rho <= 1 is the generalized Rayleigh value L' W^+ L, with L
-    the error functional and W the rho Gram matrix on the atoms.  This
-    lower-bounds the true worst case, sandwiching sigma from below.
+    (reduced initial states, 12 sinusoid frequencies per noise channel)
+    the supremum of err^2 subject to rho <= 1 is the generalized Rayleigh
+    value L' W^+ L, with L the error functional and W the rho Gram matrix
+    on the atoms.  This lower-bounds the true worst case, sandwiching
+    sigma from below, up to the O(h^2) error of integrating sampled noise.
+    Each atom is a :class:`NoiseRealization` run through
+    :func:`run_estimation`, the coupled plant-observer integration.
     """
-    from daeobs.lti import construct
-    from daeobs.signals import uniform_grid
-    from daeobs.simulate import noise_system, run_observer
-
     rec = construct(noise_system(prob))
     lti = rec.lti
-    grid = uniform_grid(t1, step)
-    h = SampledSignal.zeros(0, grid).step
-    freqs = np.linspace(0.05, 1.6, n_modes)
+    empty = SampledSignal.zeros(0, uniform_grid(t1, step))
+    grid = empty.grid
+    freqs = np.linspace(0.05, 1.6, 12)
     atoms_g, atoms_eta = [], []
     for ch in range(lti.k):
         for f in freqs:
@@ -465,40 +475,31 @@ def adversarial_error_lower_bound(prob, obsv, t1: float, step: float,
                 vals[ch] = fn(f * grid)
                 atoms_eta.append(vals)
 
-    def response(v0, gvals, evals):
-        x, f, _ = output_trajectory_from_v0(lti, v0, SampledSignal(grid, gvals))
-        x0 = prob.obs.F @ x.values[:, 0]
-        y = SampledSignal(grid, prob.obs.H @ x.values + evals)
-        est = run_observer(obsv, y)
-        err = float((prob.ell @ prob.obs.F) @ x.values[:, -1]
-                    - est.values[0, -1])
-        return err, x0, f.values, evals
+    def inner(a, b):
+        """The bilinear form of rho on two realizations."""
+        run = np.einsum("it,ij,jt->t", a.f.values, prob.Q, b.f.values) \
+            + np.einsum("it,ij,jt->t", a.eta.values, prob.R, b.eta.values)
+        return float(a.x0 @ prob.Q0 @ b.x0 + simpson(empty.step, run))
+
+    def realization(v0, gvals, evals):
+        g = empty.with_values(gvals)
+        x, f, _ = output_trajectory_from_v0(lti, v0, g)
+        real = NoiseRealization(x0=prob.obs.F @ x.values[:, 0], f=f,
+                                eta=g.with_values(evals), rho=0.0, g=g)
+        return replace(real, rho=inner(real, real))
 
     zeros_g = np.zeros((lti.k, grid.size))
     zeros_e = np.zeros((prob.p, grid.size))
-    L, cols = [], []
-    for i in range(lti.n_hat):
-        e, x0, fv, ev = response(np.eye(lti.n_hat)[i], zeros_g, zeros_e)
-        L.append(e)
-        cols.append((x0, fv, ev))
-    for a in atoms_g:
-        e, x0, fv, ev = response(np.zeros(lti.n_hat), a, zeros_e)
-        L.append(e)
-        cols.append((x0, fv, ev))
-    for a in atoms_eta:
-        e, x0, fv, ev = response(np.zeros(lti.n_hat), zeros_g, a)
-        L.append(e)
-        cols.append((x0, fv, ev))
-    L = np.array(L)
+    atoms = [realization(v0, zeros_g, zeros_e) for v0 in np.eye(lti.n_hat)]
+    atoms += [realization(np.zeros(lti.n_hat), a, zeros_e) for a in atoms_g]
+    atoms += [realization(np.zeros(lti.n_hat), zeros_g, a) for a in atoms_eta]
+    L = np.array([run_estimation(prob, obsv, real, t1, rec).error.values[0, -1]
+                  for real in atoms])
     dim = L.size
     W = np.zeros((dim, dim))
     for i in range(dim):
-        x0i, fi, ei = cols[i]
         for j in range(i, dim):
-            x0j, fj, ej = cols[j]
-            run = np.einsum("it,ij,jt->t", fi, prob.Q, fj) \
-                + np.einsum("it,ij,jt->t", ei, prob.R, ej)
-            W[i, j] = W[j, i] = float(x0i @ prob.Q0 @ x0j + simpson(h, run))
+            W[i, j] = W[j, i] = inner(atoms[i], atoms[j])
     return float(L @ np.linalg.pinv(W, rcond=1e-10) @ L)
 
 

@@ -129,6 +129,24 @@ class TestIntegrator:
         e1, e2 = max_err(2e-2), max_err(1e-2)
         assert 12.0 <= e1 / e2 <= 20.0
 
+    def test_order_two_convergence_with_sampled_input(self):
+        # The input is taken linear between samples, an O(h^2) error at the
+        # half steps for a smooth input: each halving divides the error by
+        # 4 (measured 4.0002, 4.00004 and 4.00001), not by 16.
+        w = 1.3
+
+        def max_err(h):
+            grid = uniform_grid(4.0, h)
+            u = SampledSignal(grid, np.sin(w * grid).reshape(1, -1))
+            out = integrate_lti([[-1.0]], [[1.0]], [0.0], u)
+            exact = (np.sin(w * grid) - w * np.cos(w * grid)
+                     + w * np.exp(-grid)) / (1.0 + w * w)
+            return np.max(np.abs(out.values[0] - exact))
+
+        errs = [max_err(h) for h in (0.04, 0.02, 0.01, 0.005)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 3.9 <= coarse / fine <= 4.1
+
     def test_forced_response_matches_expm_quadrature(self):
         A = np.array([[-1.0, 0.2], [0.0, -0.5]])
         B = np.array([[1.0], [0.5]])
@@ -185,6 +203,20 @@ class TestIntegrator:
         with pytest.raises(InputError, match="not finite at step 0.001"):
             integrate_lti(np.array([[-1e4]]), np.zeros((1, 0)), [1.0],
                           SampledSignal.zeros(0, grid))
+
+    def test_state_is_scanned_for_finiteness_once(self, monkeypatch):
+        isfinite = np.isfinite
+        shapes = []
+
+        def counted(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        grid, U, B, x0 = _forced(3, 2, 1.0, 0.01)
+        u = SampledSignal(grid, U)
+        monkeypatch.setattr(np, "isfinite", counted)
+        out = integrate_lti(-np.eye(3), B, x0, u)
+        assert shapes.count(out.values.shape) == 1
 
     def test_dimension_check(self):
         grid = uniform_grid(1.0, 0.1)

@@ -26,7 +26,6 @@ from daeobs.simulate import (
     clean_realization,
     noise_system,
     run_estimation,
-    run_observer,
 )
 
 from .oracles import optimal_cost, smooth_signal_reference
@@ -143,20 +142,6 @@ class TestSmoothSignal:
             ref_rho, ref_fin = draw(seed)
             assert abs(rho - ref_rho) <= 1e-12
             assert abs(fin - ref_fin) <= 1e-12
-
-
-class TestRunObserver:
-    def test_zero_output(self):
-        obsv = synthesize(classical_problem())
-        grid = uniform_grid(2.0, 1e-2)
-        est = run_observer(obsv, SampledSignal.zeros(2, grid))
-        assert np.max(np.abs(est.values)) == 0.0
-
-    def test_dimension_mismatch(self):
-        obsv = synthesize(classical_problem())
-        grid = uniform_grid(1.0, 1e-2)
-        with pytest.raises(InputError):
-            run_observer(obsv, SampledSignal.zeros(3, grid))
 
 
 class TestFiniteHorizonInfimum:
