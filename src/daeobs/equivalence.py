@@ -182,9 +182,10 @@ def randomized_construction(base: ConstructionRecord, rng: np.random.Generator,
     Randomizes every free choice of the construction: the normalizing pair
     (S, T) within the family preserving S E T = diag(I_r, 0), then, on the
     (V*, F_tilde, L) that :func:`daeobs.geometric.output_nulling` builds
-    and checks in those coordinates, the subspace basis, the friend
-    (shifted along the input-kernel directions and off the subspace) and
-    the column basis of L.
+    in those coordinates, the subspace basis, the friend (shifted along
+    the input-kernel directions and off the subspace) and the column basis
+    of L.  :func:`daeobs.lti.assemble` checks the friend and L returned,
+    not the ones drawn before randomizing.
     """
     sys = base.sys
     n, r = base.cf.n, base.cf.r

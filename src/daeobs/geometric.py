@@ -11,7 +11,9 @@ this module computes
   of V*, parametrizing the residual input freedom.
 
 The DAE's consistent trajectories live exactly on V*, which is what makes
-the reduction to an ordinary linear system possible.
+the reduction to an ordinary linear system possible.  This module only
+computes: the identities (V*, F_tilde, L) must meet are checked once per
+build, by :func:`daeobs.lti.assemble`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dae import CanonicalForm
-from .errors import IDENTITY_TOL, require
 from .linalg import (
     DEFAULT_RANK_TOL,
     Subspace,
@@ -111,11 +112,11 @@ def friend(cf: CanonicalForm, V: Subspace, L: np.ndarray) -> np.ndarray:
     Im L (:func:`daeobs.linalg.complement_basis`), K N has full column
     rank and u = N (K N)^+ [-C_tilde v; -(I - P_V) A_tilde v], from the
     thin-QR solve :func:`daeobs.linalg.thin_qr_solve`: this is K's
-    truncated pseudoinverse, and no second rank decision is made.  The
-    feasibility residual, the root-sum-square of the invariance and
-    output-zeroing defects of V under the friend, is checked explicitly,
-    also when q_dim = 0 or V = 0 (failure indicates a tolerance problem,
-    since V guarantees solvability).  Off V the friend acts as zero.
+    truncated pseudoinverse, and no second rank decision is made.  Off V
+    the friend acts as zero.  Its feasibility residual, the invariance
+    and output-zeroing defects of V under the friend, is checked by
+    :func:`daeobs.lti.assemble` (failure indicates a tolerance problem,
+    since V guarantees solvability).
     """
     W = V.basis
     Pp = V.perp_projector()
@@ -123,9 +124,6 @@ def friend(cf: CanonicalForm, V: Subspace, L: np.ndarray) -> np.ndarray:
     rhs = -np.vstack([cf.C_tilde @ W, Pp @ cf.A_tilde @ W])
     N = complement_basis(L)
     U = N @ thin_qr_solve(lhs @ N, rhs)[1]
-    scale = 1.0 + float(np.linalg.norm(cf.A_tilde)) + float(np.linalg.norm(cf.G))
-    require("friend feasibility", np.linalg.norm(lhs @ U - rhs),
-            IDENTITY_TOL * scale)
     return U @ W.T
 
 
@@ -142,7 +140,8 @@ def input_kernel_matrix(cf: CanonicalForm, V: Subspace,
 
 @dataclass(frozen=True)
 class OutputNullingData:
-    """Bundle (V*, F_tilde, L) for one canonical form."""
+    """Bundle (V*, F_tilde, L) for one canonical form, unchecked:
+    :func:`daeobs.lti.assemble` checks every bundle it is given."""
 
     V: Subspace
     F_tilde: np.ndarray
@@ -152,31 +151,12 @@ class OutputNullingData:
     def k(self) -> int:
         return self.L.shape[1]
 
-    def defects(self, cf: CanonicalForm) -> dict[str, float]:
-        """Residuals of L's defining conditions.  Those of V and F_tilde,
-        invariance and output zeroing, are the two blocks of the residual
-        that :func:`friend` checks."""
-        Pp = self.V.perp_projector()
-        return {
-            "L_in_kernel": float(np.linalg.norm(cf.D_tilde @ self.L)),
-            "GL_in_V": float(np.linalg.norm(Pp @ cf.G @ self.L)),
-        }
-
 
 def output_nulling(cf: CanonicalForm,
                    rank_tol: float = DEFAULT_RANK_TOL) -> OutputNullingData:
-    """Compute (V*, F_tilde, L) and verify the defining identities.
-
-    Only L's two identities are checked here: the friend's feasibility
-    check bounds the invariance and output-zeroing defects at the same
-    tolerance, and L, the orthonormal kernel basis of the one rank cut
-    that fixes k, has rank k by construction.
-    """
+    """Compute (V*, F_tilde, L): V* first, then L from the one rank cut on
+    K = [D_tilde; (I - P_V) G], then the friend that reads that cut.
+    Nothing is checked here (see :func:`daeobs.lti.assemble`)."""
     V = weakly_observable_subspace(cf, rank_tol)
     L = input_kernel_matrix(cf, V, rank_tol)
-    F_tilde = friend(cf, V, L)
-    data = OutputNullingData(V=V, F_tilde=F_tilde, L=L)
-    scale = 1.0 + float(np.linalg.norm(cf.A_tilde)) + float(np.linalg.norm(cf.G))
-    for name, value in data.defects(cf).items():
-        require(f"output-nulling {name}", value, IDENTITY_TOL * scale)
-    return data
+    return OutputNullingData(V=V, F_tilde=friend(cf, V, L), L=L)

@@ -151,11 +151,10 @@ def kernel_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
 
     ``scale`` floors the rank threshold by the magnitude of the surrounding
     computation: rows that vanish up to roundoff of a computation with
-    magnitude ``scale`` do not shrink the kernel.
+    magnitude ``scale`` do not shrink the kernel.  An all-zero M needs no
+    branch: numpy's SVD returns V' = I for it, so the basis is I.
     """
     M = as_matrix(M)
-    if not np.any(M):
-        return Subspace.full(M.shape[1])
     _, s, Vt = np.linalg.svd(M)
     r = _rank(s, M.shape, rank_tol, scale)
     return Subspace(Vt[r:].T.copy())

@@ -15,10 +15,11 @@ E C_s = S^{-1} [W; 0] has full column rank n_hat by construction (S is
 invertible and W is the orthonormal V* basis), so no rank is decided
 here: the thin-QR solve :func:`daeobs.linalg.thin_qr_solve`, E C_s = Q R,
 gives X = Im Q and Lambda = R^{-1} Q^T.
-Structural identities enforced on every build: E D_s = 0 and
+Identities enforced on every build, in :func:`assemble`: those of the
+output-nulling data, whichever step chose them, then E D_s = 0 and
 Lambda (E C_s) = I, which fails for an E C_s that is rank deficient or
-too ill conditioned to invert.  Their measured defects are kept in
-``ConstructionRecord.checks``.
+too ill conditioned to invert.  The measured defects of these last two
+are kept in ``ConstructionRecord.checks``.
 """
 
 from __future__ import annotations
@@ -95,12 +96,15 @@ def _lift(cf: CanonicalForm, top: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def assemble(cf: CanonicalForm, ond: OutputNullingData) -> ConstructionRecord:
-    """Assemble the associated linear system from its ingredients.
+    """Check the output-nulling data and assemble the associated linear
+    system from them.
 
     ``ond`` may come from :func:`daeobs.geometric.output_nulling` or carry
     any other legal basis/friend/L choice; all choices yield feedback-
-    equivalent systems.  X = Im Q and Lambda = R^{-1} Q' come from one
-    :func:`daeobs.linalg.thin_qr_solve` of E C_s.
+    equivalent systems.  This is the one place a choice is checked, before
+    anything else: 'friend feasibility', 'output-nulling L_in_kernel' and
+    'output-nulling GL_in_V' (docs/theory.md, section 4).  X = Im Q and
+    Lambda = R^{-1} Q' come from one thin_qr_solve of E C_s.
     """
     sys = cf.sys
     n, r = cf.n, cf.r
@@ -111,10 +115,12 @@ def assemble(cf: CanonicalForm, ond: OutputNullingData) -> ConstructionRecord:
     Acl = cf.A_tilde + cf.G @ F_tilde
     GL = cf.G @ L
     Pp = ond.V.perp_projector()
-    require("(A + G F) V within V", np.linalg.norm(Pp @ Acl @ W),
-            IDENTITY_TOL * (2.0 + float(np.linalg.norm(Acl))))
-    require("G L within V", np.linalg.norm(Pp @ GL),
-            IDENTITY_TOL * (2.0 + float(np.linalg.norm(GL))))
+    tol = IDENTITY_TOL * (1.0 + float(np.linalg.norm(cf.A_tilde))
+                          + float(np.linalg.norm(cf.G)))
+    require("friend feasibility", np.linalg.norm(
+        np.vstack([(cf.C_tilde + cf.D_tilde @ F_tilde) @ W, Pp @ Acl @ W])), tol)
+    require("output-nulling L_in_kernel", np.linalg.norm(cf.D_tilde @ L), tol)
+    require("output-nulling GL_in_V", np.linalg.norm(Pp @ GL), tol)
 
     A_l = W.T @ Acl @ W
     B_l = W.T @ GL

@@ -103,12 +103,17 @@ def _signal_values(values, size: int) -> np.ndarray:
 
 
 def uniform_grid(t1: float, step: float) -> np.ndarray:
-    """Uniform grid on [0, t1] with the step rounded to divide t1 exactly."""
+    """Uniform grid on [0, t1] with the step rounded to divide t1 exactly:
+    the one place a run's step count is decided."""
     if t1 < 0 or not np.isfinite(t1):
         raise InputError("horizon must be a nonnegative finite number")
     if not 0 < step < np.inf:
         raise InputError(f"step must be finite and positive, got {step}")
-    n = max(1, int(round(t1 / step))) if t1 > 0 else 1
+    count = t1 / step
+    if not np.isfinite(count):
+        raise InputError(f"horizon {t1:g} over step {step:g} is not a finite "
+                         "step count")
+    n = max(1, int(round(count))) if t1 > 0 else 1
     return np.linspace(0.0, t1, n + 1) if t1 > 0 else np.array([0.0])
 
 
@@ -186,7 +191,7 @@ def simpson(h: float, vals) -> float:
     the ``step`` of the signal they were taken on (O(h^4)).
 
     An odd interval count is handled with a 3/8 rule on the last three
-    intervals, preserving the order.
+    intervals, preserving the order.  The weights act as strided sums.
     """
     vals = np.asarray(vals, dtype=float)
     N = vals.size - 1
@@ -195,16 +200,15 @@ def simpson(h: float, vals) -> float:
     as_matrix(vals.reshape(1, -1), "signal values")
     if N == 1:
         return float(0.5 * h * (vals[0] + vals[1]))
-    w = np.zeros(N + 1)
     stop = N if N % 2 == 0 else N - 3
+    total = 0.0
     if stop:
-        w[1:stop:2] = 4.0
-        w[2:stop:2] = 2.0
-        w[[0, stop]] = 1.0
-        w[:stop + 1] *= h / 3.0
+        total = h / 3.0 * (vals[0] + 4.0 * vals[1:stop:2].sum()
+                           + 2.0 * vals[2:stop:2].sum() + vals[stop])
     if N % 2 == 1:
-        w[N - 3:] += 3.0 * h / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
-    return float(w @ vals)
+        total += 3.0 * h / 8.0 * (vals[N - 3] + 3.0 * (vals[N - 2] + vals[N - 1])
+                                  + vals[N])
+    return float(total)
 
 
 def quadratic_form_series(M, sig: SampledSignal) -> np.ndarray:

@@ -227,6 +227,23 @@ class TestSimulate:
         assert err == "error: RK4 state is not finite at step 0.001: the " \
             "system is too stiff or unstable for this step\n"
 
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("options", [
+        ["--horizon", "1e308"], ["--step", "1e-320"],
+        ["--horizon", "1e300", "--step", "1e-10"]],
+        ids=["horizon", "step", "both"])
+    def test_step_count_beyond_floats_exits_1_under_any_warning_filter(
+            self, options, action, tmp_path, capsys):
+        # the grid check comes before the bound, whose expm overflows here
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code = run_cli(["simulate", data_path("est_classical.json"),
+                            "--output-dir", tmp_path / "sim", *options])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon ")
+        assert err.endswith(" is not a finite step count\n")
+
     def test_zero_functional_trace_is_zero(self, tmp_path):
         doc = json.loads(data_path("est_classical.json").read_text())
         doc["matrices"]["ell"]["data"] = [0.0, 0.0, 0.0]

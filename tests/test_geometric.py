@@ -4,12 +4,15 @@ import pytest
 from daeobs import DaeSystem, InternalConsistencyError, construct
 from daeobs.fixtures import data_path
 from daeobs.geometric import (
+    OutputNullingData,
     _annihilator_levels,
     friend,
     input_kernel_matrix,
     output_nulling,
     weakly_observable_subspace,
 )
+from daeobs.linalg import Subspace
+from daeobs.lti import assemble
 
 from .conftest import cf_from_blocks, random_dae
 from .oracles import (
@@ -141,7 +144,9 @@ class TestWeaklyObservableSubspace:
                 friend_tol(rec.cf, rec.V, rec.ond.k) * max(1.0, np.linalg.norm(F_ref))
             try:
                 V_ref = vstar_loop(rec.cf)
-                friend(rec.cf, V_ref, input_kernel_matrix(rec.cf, V_ref))
+                L_ref = input_kernel_matrix(rec.cf, V_ref)
+                assemble(rec.cf, OutputNullingData(
+                    V_ref, friend(rec.cf, V_ref, L_ref), L_ref))
             except (RuntimeError, InternalConsistencyError):
                 continue
             assert rec.V.dim == V_ref.dim
@@ -306,27 +311,32 @@ class TestFriend:
     def test_checks_feasibility_without_inputs(self):
         """With q_dim = 0 the friend is empty, and its residual is the
         invariance defect of V: a V that A_tilde does not map into itself
-        fails the check instead of passing unchecked."""
-        from daeobs.linalg import Subspace
+        fails assemble's check instead of passing unchecked."""
         cf = cf_from_blocks(np.array([[0.0, 1.0], [0.0, 0.0]]),
                             np.zeros((2, 0)), np.zeros((0, 2)),
                             np.zeros((0, 0)), m=0)
         assert cf.q_dim == 0
         L = np.zeros((0, 0))
-        assert friend(cf, Subspace(np.eye(2)), L).shape == (0, 2)
-        assert friend(cf, Subspace(np.array([[1.0], [0.0]])), L).shape == (0, 2)
+
+        def data(basis):
+            V = Subspace(np.array(basis))
+            F = friend(cf, V, L)
+            assert F.shape == (0, 2)
+            return OutputNullingData(V=V, F_tilde=F, L=L)
+
+        assemble(cf, data(np.eye(2)))
+        assemble(cf, data([[1.0], [0.0]]))
         with pytest.raises(InternalConsistencyError, match="friend feasibility"):
-            friend(cf, Subspace(np.array([[0.0], [1.0]])), L)
+            assemble(cf, data([[0.0], [1.0]]))
 
     @pytest.mark.parametrize("rank_tol", [0.01, 0.15, 0.3])
-    def test_matches_the_pseudoinverse_reference(self, rank_tol, monkeypatch):
+    def test_matches_the_pseudoinverse_reference(self, rank_tol):
         """On est_rank1's adjoint the cuts at 0.15 and 0.3 drop a real
-        singular value of K, so both friends fail feasibility there; with
-        the check lifted they must still compute the same F_tilde."""
-        from daeobs import geometric
+        singular value of K, so both friends fail feasibility there (in
+        assemble); the friend itself checks nothing and must still
+        compute the same F_tilde."""
         from daeobs.dae import canonical_form, dual_dae
         from daeobs.problem_io import load_problem
-        monkeypatch.setattr(geometric, "require", lambda name, v, tol: (v, tol))
         obs = load_problem(data_path("est_rank1.json")).problem.obs
         cf = canonical_form(dual_dae(obs), rank_tol)
         V = weakly_observable_subspace(cf, rank_tol)
@@ -381,10 +391,10 @@ class TestFriend:
         cf = canonical_form(sys)
         data = output_nulling(cf)
         scale = 1 + np.linalg.norm(cf.A_tilde) + np.linalg.norm(cf.G)
-        # defects() covers L; the friend's two identities are measured here
         W, Pp = data.V.basis, data.V.perp_projector()
         defects = dict(
-            data.defects(cf),
+            L_in_kernel=np.linalg.norm(cf.D_tilde @ data.L),
+            GL_in_V=np.linalg.norm(Pp @ cf.G @ data.L),
             invariance=np.linalg.norm(Pp @ (cf.A_tilde + cf.G @ data.F_tilde) @ W),
             output_zeroing=np.linalg.norm((cf.C_tilde + cf.D_tilde @ data.F_tilde) @ W))
         for name, value in defects.items():
@@ -410,7 +420,6 @@ class TestInputKernelMatrix:
 
     def test_hand_checkable_intersection(self):
         # D_tilde = [1, 0], G = [[1, 0]], V = {0}: Im L = ker D cap ker G
-        from daeobs.linalg import Subspace
         cf = cf_from_blocks(np.zeros((1, 1)), np.array([[1.0, 0.0]]),
                             np.array([[1.0]]), np.array([[1.0, 0.0]]), m=1)
         L = input_kernel_matrix(cf, Subspace.zero(1))

@@ -14,7 +14,9 @@ from daeobs import (
     synthesize_estimator,
 )
 from daeobs.linalg import (
+    DEFAULT_RANK_TOL,
     Subspace,
+    _rank,
     complement_basis,
     kernel_basis,
     require_spd,
@@ -286,6 +288,19 @@ class TestNumpyOnEmptyMatrices:
         np.testing.assert_array_equal(Vt, np.eye(cols))
         U, s, Vt = np.linalg.svd(np.zeros(shape), full_matrices=False)
         assert (U.shape, s.shape, Vt.shape) == ((rows, 0), (0,), (0, cols))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (1, 5), (5, 1), (2, 2),
+                                       (7, 12)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["zeros", "negative_zeros"])
+    def test_svd_of_a_zero_matrix_is_the_identity(self, shape, sign):
+        """kernel_basis has no all-zero branch: the rank of a zero matrix
+        is 0 and its kernel basis is V' = I, bit for bit."""
+        M = sign * np.zeros(shape)
+        _, s, Vt = np.linalg.svd(M)
+        assert _rank(s, shape, DEFAULT_RANK_TOL) == 0
+        assert _rank(s, shape, DEFAULT_RANK_TOL, scale=1.0) == 0
+        assert Vt.tobytes() == np.eye(shape[1]).tobytes()
+        assert kernel_basis(M).basis.tobytes() == np.eye(shape[1]).tobytes()
 
     def test_complete_qr_of_no_columns_is_the_identity(self):
         Q, R = np.linalg.qr(np.zeros((3, 0)), mode="complete")

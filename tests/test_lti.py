@@ -1,13 +1,19 @@
 import dataclasses
+import importlib
+import pkgutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import daeobs
 from daeobs import ConsistencyError, DaeSystem, InternalConsistencyError, construct
 from daeobs import lti as lti_module
 from daeobs.cli import main
+from daeobs.equivalence import randomized_construction
 from daeobs.fixtures import data_path
-from daeobs.lti import output_trajectory_from_v0
+from daeobs.linalg import kernel_basis
+from daeobs.lti import assemble, output_trajectory_from_v0
 from daeobs.problem_io import load_problem
 from daeobs.signals import SampledSignal, uniform_grid
 
@@ -131,6 +137,73 @@ class TestLambdaFromQr:
                      "-o", str(tmp_path / "r.json")])
         assert code == 12
         assert "Lambda (E C_s) = I" in capsys.readouterr().err
+
+
+class TestOutputNullingChecks:
+    """assemble checks the output-nulling data it is given, whichever step
+    chose them: a friend or an L that is no legal choice is rejected."""
+
+    OUTPUT_NULLING = ("friend feasibility", "output-nulling L_in_kernel",
+                      "output-nulling GL_in_V")
+
+    @staticmethod
+    def free_inputs():
+        """A build of random_dae(default_rng(1), 6, 2, 4) and an
+        orthonormal basis of ker((I - P_V) G), which is larger than Im L."""
+        rec = construct(random_dae(np.random.default_rng(1), 6, 2, 4))
+        free = kernel_basis(rec.V.perp_projector() @ rec.cf.G).basis
+        assert rec.V.dim and free.shape[1] > rec.ond.k
+        return rec, free
+
+    def test_rejects_a_friend_with_nonzero_output(self):
+        """F_tilde + u w_1' with u in ker((I - P_V) G) but not in ker D_tilde
+        keeps V invariant and gives it a nonzero output."""
+        rec, free = self.free_inputs()
+        L = rec.ond.L
+        u = free[:, 0] - L @ (L.T @ free[:, 0])
+        assert np.linalg.norm(rec.cf.D_tilde @ u) > 1.0
+        F_tilde = rec.ond.F_tilde + np.outer(u, rec.V.basis[:, 0])
+        with pytest.raises(InternalConsistencyError, match="'friend feasibility'"):
+            assemble(rec.cf, dataclasses.replace(rec.ond, F_tilde=F_tilde))
+
+    def test_rejects_an_L_outside_the_kernel_of_D(self):
+        rec, free = self.free_inputs()
+        with pytest.raises(InternalConsistencyError,
+                           match="'output-nulling L_in_kernel'"):
+            assemble(rec.cf, dataclasses.replace(rec.ond, L=free))
+
+    @staticmethod
+    def count_requires(monkeypatch) -> Counter:
+        """Count the identity names passed to ``require`` by every module
+        of the package that imports it."""
+        names, require = Counter(), daeobs.errors.require
+
+        def counted(name, value, tol):
+            names[name] += 1
+            return require(name, value, tol)
+        for info in pkgutil.iter_modules(daeobs.__path__):
+            mod = importlib.import_module(f"daeobs.{info.name}")
+            if getattr(mod, "require", None) is require:
+                monkeypatch.setattr(mod, "require", counted)
+        return names
+
+    def assert_checked_once(self, names: Counter):
+        assert {name: names[name] for name in self.OUTPUT_NULLING} == \
+            dict.fromkeys(self.OUTPUT_NULLING, 1)
+        assert not names["(A + G F) V within V"] and not names["G L within V"]
+
+    def test_construct_checks_each_identity_once(self, monkeypatch):
+        sys = load_problem(str(data_path("ctrl_rank1.json"))).problem.sys
+        names = self.count_requires(monkeypatch)
+        rec = construct(sys)
+        assert rec.V.dim and rec.ond.k
+        self.assert_checked_once(names)
+
+    def test_randomized_build_checks_each_identity_once(self, monkeypatch):
+        base = construct(load_problem(str(data_path("ctrl_rank1.json"))).problem.sys)
+        names = self.count_requires(monkeypatch)
+        randomized_construction(base, np.random.default_rng(0))
+        self.assert_checked_once(names)
 
 
 class TestConsistency:

@@ -51,6 +51,12 @@ class TestSampledSignal:
         with pytest.raises(InputError, match=message):
             SampledSignal(np.array(grid), np.ones((1, len(grid))))
 
+    @pytest.mark.parametrize("t1, step", [(1e308, 1e-3), (20.0, 1e-320),
+                                          (1e300, 1e-10)])
+    def test_uniform_grid_rejects_a_step_count_beyond_floats(self, t1, step):
+        with pytest.raises(InputError, match="is not a finite step count"):
+            uniform_grid(t1, step)
+
     def test_truncated(self):
         grid = uniform_grid(1.0, 0.25)
         sig = SampledSignal(grid, np.arange(5.0).reshape(1, -1))
@@ -238,6 +244,8 @@ class TestQuadrature:
         (3, [3 / 8, 9 / 8, 9 / 8, 3 / 8]),
         (4, [1 / 3, 4 / 3, 2 / 3, 4 / 3, 1 / 3]),
         (5, [1 / 3, 4 / 3, 1 / 3 + 3 / 8, 9 / 8, 9 / 8, 3 / 8]),
+        (6, [1 / 3, 4 / 3, 2 / 3, 4 / 3, 2 / 3, 4 / 3, 1 / 3]),
+        (7, [1 / 3, 4 / 3, 2 / 3, 4 / 3, 1 / 3 + 3 / 8, 9 / 8, 9 / 8, 3 / 8]),
     ])
     def test_simpson_weights(self, N, weights):
         h = 0.25
