@@ -32,7 +32,7 @@ from .dae import CanonicalForm, DaeSystem, canonical_form
 from .errors import IDENTITY_TOL, InputError, require
 from .geometric import OutputNullingData, output_nulling
 from .linalg import DEFAULT_RANK_TOL, Subspace, as_vector, thin_qr_solve
-from .signals import SampledSignal, integrate_lti
+from .signals import SampledSignal, _apply, integrate_lti
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,6 @@ def output_trajectory_from_v0(lti: AssociatedLti, v0,
     if g.dim != lti.k:
         raise InputError(f"input signal must have dimension {lti.k}")
     v = integrate_lti(lti.A_l, lti.B_l, v0, g)
-    x_vals = lti.C_s @ v.values + lti.D_s @ g.values
-    u_vals = lti.C_inp @ v.values + lti.D_inp @ g.values
+    x_vals = _apply(lti.C_s, v.values) + _apply(lti.D_s, g.values)
+    u_vals = _apply(lti.C_inp, v.values) + _apply(lti.D_inp, g.values)
     return g.with_values(x_vals), g.with_values(u_vals), v

@@ -164,18 +164,22 @@ def integrate_lti(A, B, x0, u: SampledSignal) -> SampledSignal:
         raise InputError(f"x0 must have length {n}")
     M, N0, N1 = _rk4_propagator(A, B, u.step)
     U = u.values
-    N = U.shape[1] - 1
-    # X starts as x0 and the input term of every step; after the pass with
-    # stride s, column i holds the sum of M^(i-j) X[:, j] over the last 2s
-    # columns j <= i, so once s > N every column is the state.
-    X = np.empty((n, N + 1))
+    X = np.empty((n, U.shape[1]))
     X[:, 0] = x0
-    X[:, 1:] = N0 @ U[:, :-1] + N1 @ U[:, 1:]
+    X[:, 1:] = _apply(N0, U[:, :-1]) + _apply(N1, U[:, 1:])
+    return _scan(M, X, u)
+
+
+def _scan(M, X: np.ndarray, u: SampledSignal) -> SampledSignal:
+    """States x_{i+1} = M x_i + X[:, i + 1] from x_0 = X[:, 0], written over
+    X, on u's grid.  After the pass with stride s, column i sums M^(i-j)
+    X[:, j] over the last 2s columns j <= i, so once s > N it is x_i."""
+    N = X.shape[1] - 1
     s, P = 1, M
     # a diverging run overflows; it is reported below, whatever the warning filter
     with np.errstate(over="ignore", invalid="ignore"):
         while s <= N:
-            X[:, s:] += P @ X[:, :-s]
+            X[:, s:] += _apply(P, X[:, :-s])
             s, P = 2 * s, P @ P
     # X has u's width, so the one check of with_values it can fail is
     # finiteness: the state is scanned once, there
@@ -184,6 +188,16 @@ def integrate_lti(A, B, x0, u: SampledSignal) -> SampledSignal:
     except InputError:
         raise InputError(f"RK4 state is not finite at step {u.step:g}: the system "
                          "is too stiff or unstable for this step") from None
+
+
+def _apply(M, X: np.ndarray) -> np.ndarray:
+    """M @ X for a small M and a long signal X, bit for bit.  numpy's
+    matmul is several times slower when M has one column, so that case
+    broadcasts; adding 0.0 gives zero products matmul's sign, +0.0."""
+    if M.shape[1] != 1:
+        return M @ X
+    P = M * X
+    return np.add(P, 0.0, out=P)
 
 
 def simpson(h: float, vals) -> float:
@@ -216,7 +230,7 @@ def quadratic_form_series(M, sig: SampledSignal) -> np.ndarray:
     M = as_matrix(M, "weight")
     if M.shape[0] != sig.dim:
         raise InputError("weight size does not match signal dimension")
-    return np.einsum("it,ij,jt->t", sig.values, M, sig.values)
+    return (sig.values * _apply(M, sig.values)).sum(0)
 
 
 def cost_discretization(A, B, C, D, S, h: float):

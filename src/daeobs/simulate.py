@@ -8,7 +8,8 @@ consistent noise; the noise-free system (F, A) is handled the same way
 with an empty input.  The sampled noise is a few sinusoids per channel,
 evaluated by blocked angle addition from about 12 sqrt(N) sines and
 cosines per channel instead of one sine per sample and sinusoid; every
-signal of a realization shares the one validated grid.
+signal of a realization shares the one validated grid.  A realization keeps
+the plant trajectory it was drawn with, and the observer runs on it.
 
 ``finite_horizon_infimum`` is the package's brute-force oracle for the
 Riccati value: it minimizes the finite-horizon cost over piecewise-constant
@@ -26,14 +27,16 @@ import numpy as np
 
 from .dae import DaeSystem
 from .errors import ConsistencyError, InputError
-from .linalg import as_matrix, as_vector, symmetrize
+from .linalg import SUBSPACE_TOL, as_matrix, as_vector, symmetrize
 from .lti import AssociatedLti, ConstructionRecord, construct, output_trajectory_from_v0
 from .observer import EstimationProblem, Observer
 from .riccati import LqWeights
 from .signals import (
     SampledSignal,
+    _apply,
+    _rk4_propagator,
+    _scan,
     cost_discretization,
-    integrate_lti,
     quadratic_form_series,
     simpson,
     uniform_grid,
@@ -53,9 +56,10 @@ class NoiseRealization:
     """One admissible draw (x0, f, eta) with its ellipsoid radius rho.
 
     ``x0`` is the initial value of Fx.  The latent reduced input ``g`` that
-    generated f through the noise parametrization is kept so experiments
-    can replay the exact trajectory; ``autonomous`` marks noise-free draws
-    generated through the input-free reduction (f identically zero).
+    generated f through the noise parametrization and the reduced plant
+    trajectory ``v`` it drove from v(0) = Lambda x0 are kept, so a run reads
+    the plant instead of integrating it again; ``autonomous`` marks
+    noise-free draws through the input-free reduction (f identically zero).
     """
 
     x0: np.ndarray
@@ -63,6 +67,7 @@ class NoiseRealization:
     eta: SampledSignal
     rho: float
     g: SampledSignal
+    v: SampledSignal
     autonomous: bool = False
 
 
@@ -128,7 +133,7 @@ def sample_admissible(prob: EstimationProblem, t1: float, seed: int,
     v0 = rng.standard_normal(lti.n_hat)
     g = SampledSignal(grid, _smooth_signal(rng, lti.k, grid))
     eta = g.with_values(_smooth_signal(rng, prob.p, grid))
-    x, f, _ = output_trajectory_from_v0(lti, v0, g)
+    x, f, v = output_trajectory_from_v0(lti, v0, g)
     x0 = prob.obs.F @ x.values[:, 0]
     rho_raw = _rho(prob, x0, f, eta)
     radius = rng.uniform(0.0, 1.0)
@@ -137,8 +142,9 @@ def sample_admissible(prob: EstimationProblem, t1: float, seed: int,
     f = f.with_values(alpha * f.values)
     eta = eta.with_values(alpha * eta.values)
     g = g.with_values(alpha * g.values)
+    v = v.with_values(alpha * v.values)
     return NoiseRealization(x0=x0, f=f, eta=eta,
-                            rho=_rho(prob, x0, f, eta), g=g)
+                            rho=_rho(prob, x0, f, eta), g=g, v=v)
 
 
 def clean_realization(prob: EstimationProblem, t1: float, seed: int,
@@ -148,7 +154,7 @@ def clean_realization(prob: EstimationProblem, t1: float, seed: int,
 
     Drawn through the input-free reduction, so the trajectory solves
     d(Fx)/dt = A x exactly; a nonzero x0 is scaled onto the boundary of
-    the ellipsoid, x0^T Q0 x0 = 1.
+    the ellipsoid, x0^T Q0 x0 = 1, and the plant integrated from Lambda x0.
     """
     rng = _rng(seed)
     rec = record if record is not None \
@@ -161,12 +167,14 @@ def clean_realization(prob: EstimationProblem, t1: float, seed: int,
     if rho > 0:
         x0 = x0 / np.sqrt(rho)
     f = SampledSignal.zeros(prob.n, grid)
+    g = f.with_values(np.zeros((lti.k, grid.size)))
     return NoiseRealization(
         x0=x0,
         f=f,
         eta=f.with_values(np.zeros((prob.p, grid.size))),
         rho=float(x0 @ prob.Q0 @ x0),
-        g=f.with_values(np.zeros((lti.k, grid.size))),
+        g=g,
+        v=output_trajectory_from_v0(lti, lti.Lambda @ x0, g)[2],
         autonomous=True,
     )
 
@@ -236,9 +244,10 @@ def _coupled_system(lti: AssociatedLti, H, obsv: Observer):
 
     The state is [v; s] and the input [g; eta]: the reduced plant
     vdot = A_l v + B_l g  emits  y = H (C_s v + D_s g) + eta,  which drives
-    sdot = A_o s + B_o y.  Integrating both together evaluates y at the RK4
-    half steps from the plant state instead of interpolating its samples;
-    g and eta are still interpolated, so smooth noise keeps order 2.
+    sdot = A_o s + B_o y.  Its RK4 step evaluates y at the half steps from
+    the plant state instead of interpolating its samples; g and eta are
+    still interpolated, so smooth noise keeps order 2.  It is block lower
+    triangular, so its propagator's observer rows take given plant samples.
     """
     n, m = lti.n_hat, obsv.n_hat
     k, p = lti.k, obsv.p
@@ -257,40 +266,47 @@ def _coupled_system(lti: AssociatedLti, H, obsv: Observer):
 def run_estimation(prob: EstimationProblem, obsv: Observer,
                    realization: NoiseRealization, t1: float,
                    record: ConstructionRecord | None = None) -> ExperimentResult:
-    """Simulate the observed DAE under a realization and run the observer.
-
-    Plant and observer are integrated together as one linear system (see
-    ``_coupled_system``).  ``record`` may carry the prebuilt reduction of
-    the matching :func:`noise_system` to avoid reconstructing it per run.
-    """
+    """Run the observer on a realization of the observed DAE: the observer
+    rows of the RK4 propagator (M, N0, N1) of ``_coupled_system`` scan
+    s_{i+1} = M_ss s_i + M_sv v_i + N0_s u_i + N1_s u_{i+1} on the kept
+    plant samples v and u = [g; eta], which is the coupled RK4 run.
+    ``record`` may carry the prebuilt reduction of the matching
+    :func:`noise_system` to avoid reconstructing it per run."""
     if record is None:
         record = construct(noise_system(prob, not realization.autonomous))
     lti = record.lti
-    if not lti.X.contains_vector(realization.x0):
-        raise ConsistencyError(
-            "realization initial state is inconsistent for the observed DAE"
-        )
+    x0 = realization.x0
+    if not lti.X.contains_vector(x0):
+        raise ConsistencyError("realization initial state is inconsistent "
+                               "for the observed DAE")
     if obsv.p != prob.p:
-        raise InputError(
-            f"output dimension {prob.p} does not match observer "
-            f"input dimension {obsv.p}"
-        )
+        raise InputError(f"output dimension {prob.p} does not match observer "
+                         f"input dimension {obsv.p}")
+    dims = realization.g.dim, realization.v.dim, realization.eta.dim
+    if dims != (lti.k, lti.n_hat, prob.p):
+        raise InputError(f"realization (g, v, eta) dimensions {dims} do not "
+                         f"match the reduction's {(lti.k, lti.n_hat, prob.p)}")
+    gap = np.linalg.norm(realization.v.values[:, 0] - lti.Lambda @ x0)
+    if gap > SUBSPACE_TOL * (1.0 + np.linalg.norm(lti.Lambda) * np.linalg.norm(x0)):
+        raise ConsistencyError(f"realization plant state starts {gap:.3e} off "
+                               "Lambda x0")
     g = realization.g.truncated(t1)
     eta = realization.eta.truncated(t1)
-    v0 = lti.Lambda @ realization.x0
-    z = integrate_lti(*_coupled_system(lti, prob.obs.H, obsv),
-                      np.concatenate([v0, np.zeros(obsv.n_hat)]),
-                      g.with_values(np.vstack([g.values, eta.values])))
-    v, s = z.values[:lti.n_hat], z.values[lti.n_hat:]
-    x = lti.C_s @ v + lti.D_s @ g.values
-    est = obsv.C_o @ s
-    truth = (prob.ell @ prob.obs.F) @ x
-    err = truth - est[0]
+    v = realization.v.truncated(t1).values
+    n = lti.n_hat
+    M, N0, N1 = _rk4_propagator(*_coupled_system(lti, prob.obs.H, obsv), g.step)
+    u = np.vstack([g.values, eta.values])
+    S = np.zeros((obsv.n_hat, u.shape[1]))
+    S[:, 1:] = (_apply(M[n:, :n], v[:, :-1]) + _apply(N0[n:], u[:, :-1])
+                + _apply(N1[n:], u[:, 1:]))
+    est = _apply(obsv.C_o, _scan(M[n:, n:], S, g).values)
+    x = _apply(lti.C_s, v) + _apply(lti.D_s, g.values)
+    truth = _apply((prob.ell @ prob.obs.F)[None], x)
     return ExperimentResult(
-        y=g.with_values(prob.obs.H @ x + eta.values),
+        y=g.with_values(_apply(prob.obs.H, x) + eta.values),
         estimate=g.with_values(est),
-        truth=g.with_values(truth.reshape(1, -1)),
-        error=g.with_values(err.reshape(1, -1)),
+        truth=g.with_values(truth),
+        error=g.with_values(truth - est[:1]),
     )
 
 

@@ -31,6 +31,7 @@ from daeobs.lti import AssociatedLti, construct, output_trajectory_from_v0
 from daeobs.riccati import LqWeights, RiccatiSolution
 from daeobs.signals import (
     SampledSignal,
+    integrate_lti,
     quadratic_form_series,
     simpson,
     uniform_grid,
@@ -38,6 +39,7 @@ from daeobs.signals import (
 from daeobs.simulate import (
     NOISE_MAX_FREQ,
     NoiseRealization,
+    _coupled_system,
     noise_system,
     run_estimation,
 )
@@ -89,6 +91,11 @@ def rk4_loop(A, B, x0, h: float, U) -> np.ndarray:
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[:, i + 1] = x
     return out
+
+
+def quadratic_form_series_reference(M, X) -> np.ndarray:
+    """Samples x_t' M x_t of the columns x_t of X, as one einsum."""
+    return np.einsum("it,ij,jt->t", X, M, X)
 
 
 def smooth_signal_reference(rng, dim: int, grid) -> np.ndarray:
@@ -454,7 +461,8 @@ def adversarial_error_lower_bound(prob, obsv, t1: float, step: float) -> float:
     on the atoms.  This lower-bounds the true worst case, sandwiching
     sigma from below, up to the O(h^2) error of integrating sampled noise.
     Each atom is a :class:`NoiseRealization` run through
-    :func:`run_estimation`, the coupled plant-observer integration.
+    :func:`run_estimation`, which drives the observer with the atom's
+    plant samples.
     """
     rec = construct(noise_system(prob))
     lti = rec.lti
@@ -483,9 +491,9 @@ def adversarial_error_lower_bound(prob, obsv, t1: float, step: float) -> float:
 
     def realization(v0, gvals, evals):
         g = empty.with_values(gvals)
-        x, f, _ = output_trajectory_from_v0(lti, v0, g)
+        x, f, v = output_trajectory_from_v0(lti, v0, g)
         real = NoiseRealization(x0=prob.obs.F @ x.values[:, 0], f=f,
-                                eta=g.with_values(evals), rho=0.0, g=g)
+                                eta=g.with_values(evals), rho=0.0, g=g, v=v)
         return replace(real, rho=inner(real, real))
 
     zeros_g = np.zeros((lti.k, grid.size))
@@ -501,6 +509,29 @@ def adversarial_error_lower_bound(prob, obsv, t1: float, step: float) -> float:
         for j in range(i, dim):
             W[i, j] = W[j, i] = inner(atoms[i], atoms[j])
     return float(L @ np.linalg.pinv(W, rcond=1e-10) @ L)
+
+
+def coupled_run_reference(prob, obsv, realization, t1: float, record):
+    """(y, estimate, error) of one RK4 run of the plant and the observer
+    integrated together as one system from [Lambda x0; 0], on the
+    realization's inputs [g; eta] truncated at t1.
+
+    This re-integrates the plant instead of reading the realization's
+    kept samples v, so it checks that the observer run on v is the
+    coupled run.
+    """
+    lti = record.lti
+    g = realization.g.truncated(t1)
+    eta = realization.eta.truncated(t1)
+    z = integrate_lti(*_coupled_system(lti, prob.obs.H, obsv),
+                      np.concatenate([lti.Lambda @ realization.x0,
+                                      np.zeros(obsv.n_hat)]),
+                      g.with_values(np.vstack([g.values, eta.values])))
+    v, s = z.values[:lti.n_hat], z.values[lti.n_hat:]
+    x = lti.C_s @ v + lti.D_s @ g.values
+    est = obsv.C_o @ s
+    err = (prob.ell @ prob.obs.F) @ x - est[0]
+    return prob.obs.H @ x + eta.values, est, err.reshape(1, -1)
 
 
 def fd_dae_defect(E, A_hat, B_hat, x_sig, u_sig) -> float:

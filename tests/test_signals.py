@@ -4,9 +4,16 @@ import pytest
 from scipy.integrate import trapezoid
 
 from daeobs import InputError
-from daeobs.signals import SampledSignal, integrate_lti, simpson, uniform_grid
+from daeobs.signals import (
+    SampledSignal,
+    _apply,
+    integrate_lti,
+    quadratic_form_series,
+    simpson,
+    uniform_grid,
+)
 
-from .oracles import rk4_loop
+from .oracles import quadratic_form_series_reference, rk4_loop
 
 
 def _forced(n, k, t1, h, seed=0):
@@ -231,7 +238,48 @@ class TestIntegrator:
                           SampledSignal.zeros(2, grid))
 
 
+class TestSmallMatrixProduct:
+    @staticmethod
+    def _same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                     b.view(np.int64))
+
+    @pytest.mark.parametrize("N", [1, 2, 7501])
+    @pytest.mark.parametrize("rows", range(1, 9))
+    def test_one_column_is_matmul_bit_for_bit(self, rows, N):
+        rng = np.random.default_rng(100 * rows + N)
+        M = rng.standard_normal((rows, 1))
+        wide = rng.standard_normal((3, N + 4))
+        # contiguous, a row of a wider array, and lagged views X[:, :-s] and
+        # X[:, s:] like those the input terms and the scan passes multiply
+        for X in (np.ascontiguousarray(wide[:1, :N]), wide[1:2, 2:N + 2],
+                  wide[:1, :-4], wide[2:, 4:]):
+            assert self._same_bits(_apply(M, X), M @ X)
+
+    def test_one_column_keeps_the_sign_of_zero_products(self):
+        M = np.array([[-1.0], [2.0], [-0.0], [0.0]])
+        X = np.array([[0.0, -0.0, 1.5, -3.0]])
+        assert self._same_bits(_apply(M, X), M @ X)
+
+
 class TestQuadrature:
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 5])
+    def test_quadratic_form_series_matches_einsum(self, dim):
+        # either order of the two d-term sums rounds each term x_i M_ij x_j
+        # at most 2d times, so the two differ by at most 4d eps per unit of
+        # sum_ij |x_i M_ij x_j|
+        rng = np.random.default_rng(dim)
+        grid = uniform_grid(3.0, 1e-3)
+        M = rng.standard_normal((dim, dim))
+        M = M + M.T
+        sig = SampledSignal(grid, rng.standard_normal((dim, grid.size)))
+        X = sig.values
+        got = quadratic_form_series(M, sig)
+        want = quadratic_form_series_reference(M, X)
+        scale = np.einsum("it,ij,jt->t", np.abs(X), np.abs(M), np.abs(X))
+        assert got.shape == (grid.size,)
+        assert (np.abs(got - want) <= 4 * dim * np.finfo(float).eps * scale).all()
+
     @pytest.mark.parametrize("n", [10, 11, 101])
     def test_simpson_cubic_exact(self, n):
         grid = np.linspace(0.0, 2.0, n + 1)

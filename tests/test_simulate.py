@@ -28,7 +28,7 @@ from daeobs.simulate import (
     run_estimation,
 )
 
-from .oracles import optimal_cost, smooth_signal_reference
+from .oracles import coupled_run_reference, optimal_cost, smooth_signal_reference
 from .test_observer import classical_problem
 
 
@@ -230,6 +230,8 @@ class TestEstimationExperiment:
         zero_real = real.__class__(x0=np.zeros(3), f=real.f, eta=real.eta,
                                    rho=0.0, g=SampledSignal.zeros(
                                        real.g.dim, real.g.grid),
+                                   v=SampledSignal.zeros(
+                                       real.v.dim, real.v.grid),
                                    autonomous=True)
         trace, fin = estimation_experiment(prob, obsv, zero_real, 5.0)
         assert np.max(np.abs(trace.values)) == 0.0
@@ -260,23 +262,90 @@ class TestEstimationExperiment:
         assert fin <= bound + 1e-6
 
     def test_one_integration_per_sample_and_per_run(self, monkeypatch):
+        # the draw integrates the plant (n_hat states); the run scans only
+        # the observer's states, on the plant samples the draw kept
         import daeobs.lti
+        import daeobs.signals
         import daeobs.simulate
-        from daeobs.signals import integrate_lti
-        calls = []
+        from daeobs.signals import _scan, integrate_lti
+        integrations, scans = [], []
 
-        def counted(*args):
-            calls.append(args)
-            return integrate_lti(*args)
+        def counted_integration(A, *args):
+            integrations.append(A.shape[0])
+            return integrate_lti(A, *args)
 
-        monkeypatch.setattr(daeobs.lti, "integrate_lti", counted)
-        monkeypatch.setattr(daeobs.simulate, "integrate_lti", counted)
+        def counted_scan(M, *args):
+            scans.append(M.shape[0])
+            return _scan(M, *args)
+
+        monkeypatch.setattr(daeobs.lti, "integrate_lti", counted_integration)
+        monkeypatch.setattr(daeobs.signals, "_scan", counted_scan)
+        monkeypatch.setattr(daeobs.simulate, "_scan", counted_scan)
         prob = classical_problem()
         obsv = synthesize(prob)
-        real = sample_admissible(prob, 2.0, seed=0)
-        assert len(calls) == 1
-        estimation_experiment(prob, obsv, real, 2.0)
-        assert len(calls) == 2
+        rec = construct(noise_system(prob))
+        real = sample_admissible(prob, 2.0, seed=0, record=rec)
+        assert integrations == [rec.lti.n_hat]
+        assert scans == [rec.lti.n_hat]
+        estimation_experiment(prob, obsv, real, 2.0, record=rec)
+        assert integrations == [rec.lti.n_hat]
+        assert scans == [rec.lti.n_hat, obsv.n_hat]
+
+    @pytest.mark.parametrize("name", ["est_classical.json", "est_rank1.json"])
+    @pytest.mark.parametrize("noisy", [True, False])
+    @pytest.mark.parametrize("t1", [6.0, 3.7])
+    def test_run_matches_the_coupled_run(self, name, noisy, t1):
+        # the observer driven by the kept plant samples is the coupled
+        # plant-observer RK4 run, at the grid end and truncated inside it
+        prob = load_problem(str(data_path(name))).problem
+        obsv = synthesize(prob)
+        rec = construct(noise_system(prob, noisy))
+        draw = sample_admissible if noisy else clean_realization
+        for seed in range(3):
+            real = draw(prob, 6.0, seed=seed, step=2e-3, record=rec)
+            out = run_estimation(prob, obsv, real, t1, record=rec)
+            ref = coupled_run_reference(prob, obsv, real, t1, rec)
+            for got, want in zip((out.y, out.estimate, out.error), ref):
+                assert got.grid[-1] == pytest.approx(t1, abs=1e-12)
+                assert np.max(np.abs(got.values - want)) <= \
+                    1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["est_classical.json", "est_rank1.json"])
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_realization_of_the_other_noise_system_rejected(self, name, noisy):
+        # a noisy draw run with the noise-free reduction, or the reverse:
+        # the reduced input dimensions differ
+        prob = load_problem(str(data_path(name))).problem
+        obsv = synthesize(prob)
+        draw = sample_admissible if noisy else clean_realization
+        real = draw(prob, 1.0, seed=0)
+        other = construct(noise_system(prob, not noisy))
+        with pytest.raises(InputError):
+            run_estimation(prob, obsv, real, 1.0, record=other)
+
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_plant_samples_off_the_initial_state_rejected(self, noisy):
+        from dataclasses import replace
+        from daeobs import ConsistencyError
+        prob = load_problem(str(data_path("est_classical.json"))).problem
+        obsv = synthesize(prob)
+        rec = construct(noise_system(prob, noisy))
+        draw = sample_admissible if noisy else clean_realization
+        real = draw(prob, 1.0, seed=0, record=rec)
+        run_estimation(prob, obsv, real, 1.0, record=rec)
+        shifted = real.v.with_values(real.v.values + 1e-6)
+        with pytest.raises(ConsistencyError, match="off Lambda x0"):
+            run_estimation(prob, obsv, replace(real, v=shifted), 1.0, record=rec)
+
+    def test_diverging_observer_reported_as_rk4_failure(self):
+        # an observer far too stiff for RK4 at the step overflows its scan
+        from dataclasses import replace
+        prob = classical_problem()
+        obsv = synthesize(prob)
+        stiff = replace(obsv, A_o=-1e4 * np.eye(obsv.n_hat))
+        real = sample_admissible(prob, 1.0, seed=0)
+        with pytest.raises(InputError, match="RK4 state is not finite at step"):
+            estimation_experiment(prob, stiff, real, 1.0)
 
     @pytest.mark.parametrize("noisy", [True, False])
     def test_inconsistent_initial_state_raises(self, noisy):
