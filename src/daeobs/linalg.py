@@ -122,14 +122,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zero(cls, n: int) -> "Subspace":
-        return cls(np.zeros((n, 0)))
-
     def perp_projector(self) -> np.ndarray:
         return np.eye(self.ambient_dim) - self.basis @ self.basis.T
 
@@ -140,9 +132,13 @@ class Subspace:
                 f"vector length {x.size} does not match ambient dimension "
                 f"{self.ambient_dim}"
             )
+        # ||r|| <= tol (1 + ||x||) with x scaled by 2^-s to a largest entry
+        # below 1, so no norm overflows; exact scaling keeps the decision
+        s = max(int(np.frexp(np.abs(x).max(initial=0.0))[1]), 0)
+        x = np.ldexp(x, -s)
         resid = x - self.basis @ (self.basis.T @ x)
         return float(np.linalg.norm(resid)) <= \
-            SUBSPACE_TOL * (1.0 + float(np.linalg.norm(x)))
+            SUBSPACE_TOL * (2.0 ** -s + float(np.linalg.norm(x)))
 
 
 def kernel_basis(M, rank_tol: float = DEFAULT_RANK_TOL,

@@ -87,16 +87,14 @@ class Observer:
     """Stable realization of a minimax estimator.
 
     sdot = A_o s + B_o y from s(0) = 0, estimate = C_o s; sigma is the
-    guaranteed worst-case asymptotic squared error, P the Riccati solution
-    of the adjoint problem and Lambda the reduction map (F^T C_s)^+.
+    guaranteed worst-case asymptotic squared error.  The adjoint Riccati
+    solution and reduction behind it stay on :class:`ObserverSynthesis`.
     """
 
     A_o: np.ndarray
     B_o: np.ndarray
     C_o: np.ndarray
     sigma: float
-    P: np.ndarray
-    Lambda: np.ndarray
 
     @property
     def n_hat(self) -> int:
@@ -149,24 +147,23 @@ class ObserverSynthesis:
     def n_hat(self) -> int:
         return self.ricc.n_hat
 
-    def is_estimable(self, ell) -> bool:
-        ell = as_vector(ell, "ell")
-        if ell.size != self.obs.n:
-            raise InputError(f"ell must have length {self.obs.n}")
-        return self.dual.lti.X.contains_vector(self.obs.F.T @ ell)
-
     def _output_row(self, ell) -> np.ndarray:
         """ell^T F Lambda^T, which is also v*(0) = Lambda F^T ell; raises
         :class:`InestimableError` unless ell is estimable."""
-        if not self.is_estimable(ell):
+        ell = as_vector(ell, "ell")
+        if ell.size != self.obs.n:
+            raise InputError(f"ell must have length {self.obs.n}")
+        if not self.dual.lti.X.contains_vector(self.obs.F.T @ ell):
             raise InestimableError(
                 "functional is not estimable: the adjoint DAE has no "
                 "solution on the whole time axis for F^T ell"
             )
-        return (as_vector(ell, "ell") @ self.obs.F) @ self.ctrl.B_c.T
+        return (ell @ self.obs.F) @ self.ctrl.B_c.T
 
     def _sigma(self, row: np.ndarray) -> float:
-        return max(float(row @ self.ricc.P @ row), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = float(row @ self.ricc.P @ row)
+        return max(_finite(sigma, "sigma"), 0.0)
 
     def for_ell(self, ell) -> Observer:
         row = self._output_row(ell)
@@ -175,8 +172,6 @@ class ObserverSynthesis:
             B_o=self.ctrl.C_u.T.copy(),
             C_o=row.reshape(1, -1),
             sigma=self._sigma(row),
-            P=self.ricc.P,
-            Lambda=self.ctrl.B_c,
         )
 
 
@@ -244,5 +239,15 @@ def worst_case_bound(synth: ObserverSynthesis, ell, t1: float) -> float:
     sigma = synth._sigma(row)
     if synth.n_hat == 0:
         return sigma
-    vt = expm(synth.ctrl.A_c * t1) @ row
-    return sigma + max(float(vt @ synth.Q0_bar @ vt), 0.0)
+    eA = expm(synth.ctrl.A_c * t1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vt = eA @ row
+        bound = sigma + max(float(vt @ synth.Q0_bar @ vt), 0.0)
+    return _finite(bound, "the worst-case error bound")
+
+
+def _finite(value: float, name: str) -> float:
+    """``value``, or an :class:`InputError` naming it if it overflowed."""
+    if not np.isfinite(value):
+        raise InputError(f"{name} overflows the float range: scale ell down")
+    return value

@@ -81,18 +81,6 @@ class SampledSignal:
     def zeros(cls, dim: int, grid) -> "SampledSignal":
         return cls(grid, np.zeros((dim, np.size(grid))))
 
-    def truncated(self, t1: float) -> "SampledSignal":
-        """Restriction to [grid[0], t1]; t1 must be a grid point.  At the
-        last grid point this is the signal itself."""
-        idx = np.rint((t1 - self.grid[0]) / self.step) if self.step else 0.0
-        if not (0 <= idx < self.grid.size and abs(self.grid[int(idx)] - t1)
-                <= GRID_RTOL * max(1.0, abs(t1))):
-            raise InputError(f"t1 = {t1} is not a grid point of the signal")
-        end = int(idx) + 1
-        if end == self.grid.size:
-            return self
-        return SampledSignal(self.grid[:end], self.values[:, :end].copy())
-
 
 def _signal_values(values, size: int) -> np.ndarray:
     """Finite 2-D signal values with one column per grid point."""

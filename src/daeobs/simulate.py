@@ -32,6 +32,7 @@ from .lti import AssociatedLti, ConstructionRecord, construct, output_trajectory
 from .observer import EstimationProblem, Observer
 from .riccati import LqWeights
 from .signals import (
+    GRID_RTOL,
     SampledSignal,
     _apply,
     _rk4_propagator,
@@ -266,7 +267,8 @@ def _coupled_system(lti: AssociatedLti, H, obsv: Observer):
 def run_estimation(prob: EstimationProblem, obsv: Observer,
                    realization: NoiseRealization, t1: float,
                    record: ConstructionRecord | None = None) -> ExperimentResult:
-    """Run the observer on a realization of the observed DAE: the observer
+    """Run the observer on a realization of the observed DAE, whose horizon
+    t1 must be (its last grid point, within GRID_RTOL): the observer
     rows of the RK4 propagator (M, N0, N1) of ``_coupled_system`` scan
     s_{i+1} = M_ss s_i + M_sv v_i + N0_s u_i + N1_s u_{i+1} on the kept
     plant samples v and u = [g; eta], which is the coupled RK4 run.
@@ -290,9 +292,9 @@ def run_estimation(prob: EstimationProblem, obsv: Observer,
     if gap > SUBSPACE_TOL * (1.0 + np.linalg.norm(lti.Lambda) * np.linalg.norm(x0)):
         raise ConsistencyError(f"realization plant state starts {gap:.3e} off "
                                "Lambda x0")
-    g = realization.g.truncated(t1)
-    eta = realization.eta.truncated(t1)
-    v = realization.v.truncated(t1).values
+    g, eta, v = realization.g, realization.eta, realization.v.values
+    if not abs(t1 - g.grid[-1]) <= GRID_RTOL * max(1.0, g.grid[-1]):
+        raise InputError(f"t1 = {t1} is not the realization's horizon {g.grid[-1]}")
     n = lti.n_hat
     M, N0, N1 = _rk4_propagator(*_coupled_system(lti, prob.obs.H, obsv), g.step)
     u = np.vstack([g.values, eta.values])
@@ -315,6 +317,6 @@ def estimation_experiment(prob: EstimationProblem, obsv: Observer,
                           record: ConstructionRecord | None = None,
                           ) -> tuple[SampledSignal, float]:
     """Error trace  ell^T F x(t) - estimate(t)  on [0, t1] and the squared
-    error at the final time."""
+    error at t1, which is the realization's horizon."""
     result = run_estimation(prob, obsv, realization, t1, record)
     return result.error, result.final_sq_error

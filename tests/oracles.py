@@ -30,6 +30,7 @@ from daeobs.linalg import (
 from daeobs.lti import AssociatedLti, construct, output_trajectory_from_v0
 from daeobs.riccati import LqWeights, RiccatiSolution
 from daeobs.signals import (
+    GRID_RTOL,
     SampledSignal,
     integrate_lti,
     quadratic_form_series,
@@ -119,7 +120,7 @@ def image_basis(M, rank_tol: float = DEFAULT_RANK_TOL,
     M = as_matrix(M)
     m, n = M.shape
     if n == 0 or not np.any(M):
-        return Subspace.zero(m)
+        return Subspace(np.zeros((m, 0)))
     U, s, _ = np.linalg.svd(M)
     r = _rank(s, M.shape, rank_tol, scale)
     return Subspace(U[:, :r].copy())
@@ -136,7 +137,7 @@ def vstar_loop(cf, rank_tol: float = 1e-10):
     from daeobs.linalg import kernel_basis
 
     r = cf.r
-    V = Subspace.full(r)
+    V = Subspace(np.eye(r))
     for _ in range(r + 1):
         Pp = V.perp_projector()
         M = np.vstack([np.hstack([Pp @ cf.A_tilde, Pp @ cf.G]),
@@ -511,18 +512,24 @@ def adversarial_error_lower_bound(prob, obsv, t1: float, step: float) -> float:
     return float(L @ np.linalg.pinv(W, rcond=1e-10) @ L)
 
 
+def _require_horizon(sig: SampledSignal, t1: float) -> None:
+    """Raise InputError unless t1 is the last grid point of ``sig``."""
+    if not abs(t1 - sig.grid[-1]) <= GRID_RTOL * max(1.0, sig.grid[-1]):
+        raise InputError(f"t1 = {t1} is not the signal's horizon {sig.grid[-1]}")
+
+
 def coupled_run_reference(prob, obsv, realization, t1: float, record):
     """(y, estimate, error) of one RK4 run of the plant and the observer
     integrated together as one system from [Lambda x0; 0], on the
-    realization's inputs [g; eta] truncated at t1.
+    realization's inputs [g; eta], whose horizon t1 must be.
 
     This re-integrates the plant instead of reading the realization's
     kept samples v, so it checks that the observer run on v is the
     coupled run.
     """
     lti = record.lti
-    g = realization.g.truncated(t1)
-    eta = realization.eta.truncated(t1)
+    g, eta = realization.g, realization.eta
+    _require_horizon(g, t1)
     z = integrate_lti(*_coupled_system(lti, prob.obs.H, obsv),
                       np.concatenate([lti.Lambda @ realization.x0,
                                       np.zeros(obsv.n_hat)]),
@@ -609,16 +616,14 @@ def optimal_cost(rs: RiccatiSolution, v0) -> float:
 
 def evaluate_cost(lti: AssociatedLti, w: LqWeights, E, v0,
                   g: SampledSignal, t1: float) -> float:
-    """Finite-horizon cost of an explicit input: quadrature of the running
-    term along the simulated trajectory plus the terminal term
-    v(t1)^T (E C_s)^T Q0 (E C_s) v(t1)."""
+    """Finite-horizon cost of an explicit input on [0, t1], the horizon of
+    ``g``: quadrature of the running term along the simulated trajectory
+    plus the terminal term v(t1)^T (E C_s)^T Q0 (E C_s) v(t1)."""
     E = as_matrix(E, "E")
     v0 = as_vector(v0, "v0")
     ECs = E @ lti.C_s
     M_term = ECs.T @ w.Q0 @ ECs
-    if t1 == 0:
-        return float(v0 @ M_term @ v0)
-    g = g.truncated(t1)
+    _require_horizon(g, t1)
     _, _, v = output_trajectory_from_v0(lti, v0, g)
     nu = SampledSignal(g.grid, lti.C_l @ v.values + lti.D_l @ g.values)
     running = simpson(g.step, quadratic_form_series(w.S(), nu))

@@ -199,14 +199,15 @@ def test_criterion_7_classical_reduction():
     from .oracles import classical_filter
     loaded = load_problem(str(data_path("est_classical.json")))
     prob: EstimationProblem = loaded.problem
-    obsv = synthesize(prob)
+    synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R)
+    obsv = synth.for_ell(prob.ell)
     P_ref, L_ref, Acl_ref = classical_filter(prob.obs.A, prob.obs.H,
                                              prob.Q, prob.R)
     rel = 1e-8 * (1.0 + np.linalg.norm(P_ref))
     devs = {
         "A_o": np.linalg.norm(obsv.A_o - Acl_ref),
         "B_o": np.linalg.norm(obsv.B_o - L_ref),
-        "P": np.linalg.norm(obsv.P - P_ref),
+        "P": np.linalg.norm(synth.ricc.P - P_ref),
         "sigma": abs(obsv.sigma - float(prob.ell @ P_ref @ prob.ell)),
     }
     ok = all(v <= rel for v in devs.values())

@@ -372,6 +372,61 @@ class TestNonPositiveOptions:
                 in capsys.readouterr().err)
 
 
+class TestFunctionalBeyondFloats:
+    """A functional so large that sigma or the finite-horizon bound
+    overflows is an input error (exit 1) naming the quantity, under any
+    warning filter, and writes no report."""
+
+    @staticmethod
+    def _scaled(tmp_path, ell1):
+        doc = json.loads(data_path("est_classical.json").read_text())
+        doc["matrices"]["ell"]["data"][0] = ell1
+        path = tmp_path / "ell.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("ell1, argv, quantity", [
+        (1e155, ["synthesize-observer"], "sigma"),
+        (1e160, ["synthesize-observer"], "sigma"),
+        (1e155, ["simulate", "--clean"], "sigma"),
+        (1e160, ["simulate", "--clean"], "sigma"),
+        (1e155, ["simulate", "--noisy", "--runs", "1"], "sigma"),
+        (1e160, ["simulate", "--noisy", "--runs", "1"], "sigma"),
+        (2e154, ["simulate", "--horizon", "0.5"], "the worst-case error bound"),
+    ])
+    def test_overflow_exits_1(self, ell1, argv, quantity, action, tmp_path,
+                              capsys):
+        path = self._scaled(tmp_path, ell1)
+        out = tmp_path / "out"
+        if argv[0] == "simulate":
+            dest, report = ["--output-dir", out], out / "summary.json"
+        else:
+            dest, report = ["--output", out], out
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code = run_cli([argv[0], path, *argv[1:], *dest])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {quantity} overflows the float range: scale ell down\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("ell1, sigma", [(1e154, "4.239258e+307"),
+                                             (2e154, "1.695703e+308")])
+    def test_largest_sigmas_are_reported(self, ell1, sigma, action, tmp_path,
+                                         capsys):
+        # at 2e154 the estimability test's norm of F' ell used to overflow
+        path = self._scaled(tmp_path, ell1)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code = run_cli(["synthesize-observer", path, "-o",
+                            tmp_path / "obs.json"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(
+            f"observer synthesized: sigma = {sigma} ")
+
+
 class TestCheckEquivalence:
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         code = run_cli(["check-equivalence", data_path("ctrl_rank1.json"),

@@ -422,6 +422,6 @@ class TestInputKernelMatrix:
         # D_tilde = [1, 0], G = [[1, 0]], V = {0}: Im L = ker D cap ker G
         cf = cf_from_blocks(np.zeros((1, 1)), np.array([[1.0, 0.0]]),
                             np.array([[1.0]]), np.array([[1.0, 0.0]]), m=1)
-        L = input_kernel_matrix(cf, Subspace.zero(1))
+        L = input_kernel_matrix(cf, Subspace(np.zeros((1, 0))))
         assert L.shape == (2, 1)
         np.testing.assert_allclose(np.abs(L.ravel()), [0.0, 1.0], atol=1e-12)

@@ -15,6 +15,7 @@ from daeobs import (
 )
 from daeobs.linalg import (
     DEFAULT_RANK_TOL,
+    SUBSPACE_TOL,
     Subspace,
     _rank,
     complement_basis,
@@ -103,6 +104,28 @@ class TestKernelImage:
 
     def test_kernel_of_empty_rows_is_full(self):
         assert kernel_basis(np.zeros((0, 4))).dim == 4
+
+
+class TestContainsVector:
+    def test_decides_as_the_unscaled_test_where_that_does_not_overflow(self):
+        # ||r|| <= SUBSPACE_TOL (1 + ||x||) on x itself, for vectors in,
+        # near and off a random plane, across the float range
+        rng = np.random.default_rng(0)
+        V = Subspace(np.linalg.qr(rng.standard_normal((4, 2)))[0])
+        for scale in 10.0 ** np.arange(-300, 151, 15):
+            for off in (0.0, 1e-10, 1e-9, 2e-9, 1e-8, 1.0):
+                x = scale * (V.basis @ rng.standard_normal(2)
+                             + off * rng.standard_normal(4))
+                r = x - V.basis @ (V.basis.T @ x)
+                want = np.linalg.norm(r) <= SUBSPACE_TOL * (1.0 + np.linalg.norm(x))
+                assert V.contains_vector(x) == want
+
+    @pytest.mark.parametrize("scale", [1e155, 1e300, np.finfo(float).max / 4])
+    def test_large_vectors_decided_without_overflow(self, scale):
+        # pytest turns RuntimeWarnings into errors here, so no norm may overflow
+        V = Subspace(np.eye(3)[:, :2])
+        assert V.contains_vector(scale * np.array([1.0, -1.0, 0.0]))
+        assert not V.contains_vector(scale * np.array([1.0, -1.0, 1e-6]))
 
 
 def _spread_matrix(seed, rows, cols, decades):

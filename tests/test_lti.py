@@ -227,7 +227,7 @@ class TestConsistency:
         # against a corrupted consistency space nothing nonzero passes
         from daeobs.linalg import Subspace
         from dataclasses import replace
-        bad = replace(lti, X=Subspace.zero(2))
+        bad = replace(lti, X=Subspace(np.zeros((2, 0))))
         assert not is_consistent(bad, sys.E, np.array([1.0, 5.0]))
 
     def test_inconsistent_initial_state_raises(self):

@@ -258,13 +258,14 @@ class TestTerminalWeight:
 class TestSynthesize:
     def test_classical_reduction_matches_textbook_filter(self):
         prob = classical_problem()
-        obsv = synthesize(prob)
+        synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R)
+        obsv = synth.for_ell(prob.ell)
         P_ref, L_ref, Acl_ref = classical_filter(A_CL, H_CL, np.eye(3), np.eye(2))
         rel = 1e-8 * (1 + np.linalg.norm(P_ref))
         assert np.linalg.norm(obsv.A_o - Acl_ref) <= rel
         assert np.linalg.norm(obsv.B_o - L_ref) <= rel
         assert np.linalg.norm(obsv.C_o - np.array([[1.0, 0.0, 0.0]])) <= 1e-10
-        assert np.linalg.norm(obsv.P - P_ref) <= rel
+        assert np.linalg.norm(synth.ricc.P - P_ref) <= rel
         assert abs(obsv.sigma - P_ref[0, 0]) <= rel
 
     def test_zero_functional(self):
@@ -310,7 +311,6 @@ class TestSynthesize:
         H = np.array([[1.0, 0.0]])
         obs = ObservedDae(F, A, H)
         synth = synthesize_estimator(obs, np.eye(2), np.eye(2), np.eye(1))
-        assert not synth.is_estimable([1.0, 0.0])
         with pytest.raises(InestimableError):
             synth.for_ell([1.0, 0.0])
         trivial = synth.for_ell([0.0, 1.0])
@@ -343,7 +343,7 @@ class TestSynthesize:
         np.testing.assert_array_equal(o1.A_o, o2.A_o)
         np.testing.assert_array_equal(o1.B_o, o2.B_o)
         assert not np.allclose(o1.C_o, o2.C_o)
-        assert abs(o1.sigma - float((o1.C_o @ o1.P @ o1.C_o.T).item())) <= 1e-12
+        assert abs(o1.sigma - float((o1.C_o @ synth.ricc.P @ o1.C_o.T).item())) <= 1e-12
 
     @pytest.mark.parametrize("eps", [2.5e-10, 3e-10])
     def test_singular_value_just_below_rank_cut(self, eps):

@@ -554,8 +554,7 @@ class TestCosts:
         sys = DaeSystem(np.eye(1), np.array([[-1.0]]), np.eye(1))
         lti = construct(sys).lti
         w = LqWeights(np.eye(1), np.eye(1), 2.0 * np.eye(1))
-        grid = uniform_grid(1.0, 1e-2)
-        g = SampledSignal.zeros(lti.k, grid)
+        g = SampledSignal.zeros(lti.k, [0.0])
         v0 = np.array([3.0])
         got = evaluate_cost(lti, w, sys.E, v0, g, 0.0)
         ECs = sys.E @ lti.C_s

@@ -64,25 +64,6 @@ class TestSampledSignal:
         with pytest.raises(InputError, match="is not a finite step count"):
             uniform_grid(t1, step)
 
-    def test_truncated(self):
-        grid = uniform_grid(1.0, 0.25)
-        sig = SampledSignal(grid, np.arange(5.0).reshape(1, -1))
-        cut = sig.truncated(0.5)
-        assert cut.grid.size == 3
-        assert cut.step == sig.step
-        np.testing.assert_array_equal(cut.values, [[0.0, 1.0, 2.0]])
-        assert sig.truncated(grid[-1]) is sig
-        assert sig.truncated(0.0).grid.size == 1
-        for t1 in (0.3, -0.25, 1.25, np.nan, np.inf):
-            with pytest.raises(InputError, match="not a grid point"):
-                sig.truncated(t1)
-        point = SampledSignal.zeros(1, [2.0])
-        assert point.step == 0.0
-        assert point.truncated(2.0) is point
-        for t1 in (0.0, np.nan):
-            with pytest.raises(InputError, match="not a grid point"):
-                point.truncated(t1)
-
     def test_grid_is_a_private_read_only_copy(self):
         g = np.linspace(0.0, 1.0, 5)
         sig = SampledSignal(g, np.zeros((1, 5)))
@@ -106,7 +87,6 @@ class TestSampledSignal:
         assert derived.grid is sig.grid
         assert sig.step == derived.step == 0.25
         assert derived.values.shape == (3, 5)
-        assert sig.truncated(1.0) is sig
         assert diffs == []
         with pytest.raises(InputError, match="4 samples but grid has 5"):
             sig.with_values(np.ones((1, 4)))

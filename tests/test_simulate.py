@@ -293,10 +293,10 @@ class TestEstimationExperiment:
 
     @pytest.mark.parametrize("name", ["est_classical.json", "est_rank1.json"])
     @pytest.mark.parametrize("noisy", [True, False])
-    @pytest.mark.parametrize("t1", [6.0, 3.7])
+    @pytest.mark.parametrize("t1", [6.0])
     def test_run_matches_the_coupled_run(self, name, noisy, t1):
         # the observer driven by the kept plant samples is the coupled
-        # plant-observer RK4 run, at the grid end and truncated inside it
+        # plant-observer RK4 run over the realization's grid
         prob = load_problem(str(data_path(name))).problem
         obsv = synthesize(prob)
         rec = construct(noise_system(prob, noisy))
@@ -309,6 +309,15 @@ class TestEstimationExperiment:
                 assert got.grid[-1] == pytest.approx(t1, abs=1e-12)
                 assert np.max(np.abs(got.values - want)) <= \
                     1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("t1", [3.7, 6.002, np.nan])
+    def test_t1_other_than_the_horizon_rejected(self, t1):
+        # a run covers the realization it is given, here on [0, 6] at step 2e-3
+        prob = load_problem(str(data_path("est_classical.json"))).problem
+        obsv = synthesize(prob)
+        real = sample_admissible(prob, 6.0, seed=0, step=2e-3)
+        with pytest.raises(InputError, match="not the realization's horizon"):
+            run_estimation(prob, obsv, real, t1)
 
     @pytest.mark.parametrize("name", ["est_classical.json", "est_rank1.json"])
     @pytest.mark.parametrize("noisy", [True, False])
