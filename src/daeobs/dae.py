@@ -168,8 +168,10 @@ def canonical_form(sys: DaeSystem,
     defect = S @ E @ T
     defect[:r, :r] -= np.eye(r)
     defect[r:, r:] = 0.0
+    with np.errstate(over="ignore"):  # an overflowing norm fails require
+        E_norm = float(np.linalg.norm(E))
     require("S E T = diag(I_r, 0)", np.linalg.norm(defect),
-            1e-10 * max(1.0, float(np.linalg.norm(E))) * max(n, 1))
+            1e-10 * max(1.0, E_norm) * max(n, 1))
 
     return _partition(sys, S, T, r)
 

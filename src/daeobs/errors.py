@@ -5,6 +5,8 @@ with 1, mathematical non-existence conditions with 2 or 3, and internal
 consistency failures with codes above 10.
 """
 
+import math
+
 
 class DaeObsError(Exception):
     """Base class for all daeobs errors."""
@@ -58,8 +60,13 @@ IDENTITY_TOL = 1e-9
 def require(name: str, value: float, tol: float) -> tuple[float, float]:
     """Raise :class:`InternalConsistencyError` naming the identity ``name``
     unless its measured defect ``value`` is at most ``tol``; return the
-    measured pair ``(value, tol)`` for the build step's report."""
+    measured pair ``(value, tol)`` for the build step's report.  A ``tol``
+    that is not finite means the data's scale overflowed, so nothing was
+    checked: that is an :class:`InputError`."""
     value, tol = float(value), float(tol)
+    if not math.isfinite(tol):
+        raise InputError(f"identity '{name}' cannot be checked: the data's "
+                         "scale overflows the float range")
     if not value <= tol:
         raise InternalConsistencyError(
             f"identity '{name}' violated: defect {value:.3e} exceeds {tol:.3e}")

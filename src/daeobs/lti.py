@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dae import CanonicalForm, DaeSystem, canonical_form
-from .errors import IDENTITY_TOL, InputError, require
+from .errors import IDENTITY_TOL, require
 from .geometric import OutputNullingData, output_nulling
-from .linalg import DEFAULT_RANK_TOL, Subspace, as_vector, thin_qr_solve
-from .signals import SampledSignal, _apply, integrate_lti
+from .linalg import DEFAULT_RANK_TOL, Subspace, thin_qr_solve
 
 
 @dataclass(frozen=True)
@@ -158,17 +157,3 @@ def construct(sys: DaeSystem,
     cf = canonical_form(sys, rank_tol)
     ond = output_nulling(cf, rank_tol)
     return assemble(cf, ond)
-
-
-def output_trajectory_from_v0(lti: AssociatedLti, v0,
-                              g: SampledSignal) -> tuple[SampledSignal, SampledSignal, SampledSignal]:
-    """Integrate the reduced system from v(0) = v0 and emit (x, u, v)."""
-    v0 = as_vector(v0, "v0")
-    if v0.size != lti.n_hat:
-        raise InputError(f"v0 must have length {lti.n_hat}")
-    if g.dim != lti.k:
-        raise InputError(f"input signal must have dimension {lti.k}")
-    v = integrate_lti(lti.A_l, lti.B_l, v0, g)
-    x_vals = _apply(lti.C_s, v.values) + _apply(lti.D_s, g.values)
-    u_vals = _apply(lti.C_inp, v.values) + _apply(lti.D_inp, g.values)
-    return g.with_values(x_vals), g.with_values(u_vals), v

@@ -230,8 +230,13 @@ def worst_case_bound(synth: ObserverSynthesis, ell, t1: float) -> float:
         bound = sigma + v*(t1)^T Q0_bar v*(t1),
         v*(t) = e^{A_c t} B_c F^T ell,
 
-    with Q0_bar the reduced terminal weight of :func:`q0_bar`.  Raises
-    :class:`InputError` unless t1 is finite and nonnegative.
+    with Q0_bar the reduced terminal weight of :func:`q0_bar`.  scipy's
+    expm overflows from an argument 1-norm of about 2^128, so e^{A_c t1}
+    is (e^{A_c t1 / 2^j})^(2^j), with j > 0 only where ||A_c||_1 t1
+    reaches 2^64, squared with over/underflow warnings off: at a huge t1
+    the decaying transient underflows to 0 and the bound is sigma.
+    Raises :class:`InputError` unless t1 is finite and nonnegative, or if
+    the bound overflows.
     """
     if not 0.0 <= t1 < np.inf:
         raise InputError(f"t1 must be finite and nonnegative, got {t1}")
@@ -239,8 +244,12 @@ def worst_case_bound(synth: ObserverSynthesis, ell, t1: float) -> float:
     sigma = synth._sigma(row)
     if synth.n_hat == 0:
         return sigma
-    eA = expm(synth.ctrl.A_c * t1)
-    with np.errstate(over="ignore", invalid="ignore"):
+    A_c = synth.ctrl.A_c
+    j = max(0, int(np.frexp(np.linalg.norm(A_c, 1))[1] + np.frexp(t1)[1]) - 64)
+    eA = expm(A_c * np.ldexp(t1, -j))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for _ in range(j):
+            eA = eA @ eA
         vt = eA @ row
         bound = sigma + max(float(vt @ synth.Q0_bar @ vt), 0.0)
     return _finite(bound, "the worst-case error bound")

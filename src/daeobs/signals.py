@@ -102,6 +102,10 @@ def uniform_grid(t1: float, step: float) -> np.ndarray:
         raise InputError(f"horizon {t1:g} over step {step:g} is not a finite "
                          "step count")
     n = max(1, int(round(count))) if t1 > 0 else 1
+    # numpy refuses an array of more bytes than an intp counts
+    if n >= np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise InputError(f"horizon {t1:g} over step {step:g} is {n:g} steps, "
+                         "more than one array can hold")
     return np.linspace(0.0, t1, n + 1) if t1 > 0 else np.array([0.0])
 
 

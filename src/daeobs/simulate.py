@@ -28,7 +28,7 @@ import numpy as np
 from .dae import DaeSystem
 from .errors import ConsistencyError, InputError
 from .linalg import SUBSPACE_TOL, as_matrix, as_vector, symmetrize
-from .lti import AssociatedLti, ConstructionRecord, construct, output_trajectory_from_v0
+from .lti import AssociatedLti, ConstructionRecord, construct
 from .observer import EstimationProblem, Observer
 from .riccati import LqWeights
 from .signals import (
@@ -38,6 +38,7 @@ from .signals import (
     _rk4_propagator,
     _scan,
     cost_discretization,
+    integrate_lti,
     quadratic_form_series,
     simpson,
     uniform_grid,
@@ -134,8 +135,9 @@ def sample_admissible(prob: EstimationProblem, t1: float, seed: int,
     v0 = rng.standard_normal(lti.n_hat)
     g = SampledSignal(grid, _smooth_signal(rng, lti.k, grid))
     eta = g.with_values(_smooth_signal(rng, prob.p, grid))
-    x, f, v = output_trajectory_from_v0(lti, v0, g)
-    x0 = prob.obs.F @ x.values[:, 0]
+    v = integrate_lti(lti.A_l, lti.B_l, v0, g)
+    f = g.with_values(_apply(lti.C_inp, v.values) + _apply(lti.D_inp, g.values))
+    x0 = prob.obs.F @ (lti.C_s @ v0 + lti.D_s @ g.values[:, 0])
     rho_raw = _rho(prob, x0, f, eta)
     radius = rng.uniform(0.0, 1.0)
     alpha = radius / np.sqrt(rho_raw) if rho_raw > 0 else 0.0
@@ -175,7 +177,7 @@ def clean_realization(prob: EstimationProblem, t1: float, seed: int,
         eta=f.with_values(np.zeros((prob.p, grid.size))),
         rho=float(x0 @ prob.Q0 @ x0),
         g=g,
-        v=output_trajectory_from_v0(lti, lti.Lambda @ x0, g)[2],
+        v=integrate_lti(lti.A_l, lti.B_l, lti.Lambda @ x0, g),
         autonomous=True,
     )
 

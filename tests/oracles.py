@@ -4,9 +4,9 @@ Each oracle deliberately takes a different computational route than the
 code it checks: an SVD pseudoinverse, brute-force least squares, KKT
 systems, textbook filter formulas via scipy's Riccati solver, and finite
 differences.  The reference views at the end (costs by quadrature,
-trajectories from a physical initial state, the observer's integral
-kernel, the inverse of the duality map) are built on the library's own
-pieces and exist only for the tests.
+full trajectories from a reduced or a physical initial state, the
+observer's integral kernel, the inverse of the duality map) are built on
+the library's own pieces and exist only for the tests.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from daeobs.linalg import (
     require_spd,
     symmetrize,
 )
-from daeobs.lti import AssociatedLti, construct, output_trajectory_from_v0
+from daeobs.lti import AssociatedLti, construct
 from daeobs.riccati import LqWeights, RiccatiSolution
 from daeobs.signals import (
     GRID_RTOL,
     SampledSignal,
+    _apply,
     integrate_lti,
     quadratic_form_series,
     simpson,
@@ -584,6 +585,17 @@ def is_consistent(lti: AssociatedLti, E, x0) -> bool:
     if E.shape != (lti.n, lti.n) or x0.size != lti.n:
         raise InputError("E or x0 dimensions do not match the system")
     return lti.X.contains_vector(E @ x0)
+
+
+def output_trajectory_from_v0(lti: AssociatedLti, v0,
+                              g: SampledSignal) -> tuple[SampledSignal, SampledSignal, SampledSignal]:
+    """The full parametrization: integrate the reduced system from
+    v(0) = v0 and map every sample to (x, u) = (C_s v + D_s g,
+    C_inp v + D_inp g); returns (x, u, v)."""
+    v = integrate_lti(lti.A_l, lti.B_l, v0, g)
+    x_vals = _apply(lti.C_s, v.values) + _apply(lti.D_s, g.values)
+    u_vals = _apply(lti.C_inp, v.values) + _apply(lti.D_inp, g.values)
+    return g.with_values(x_vals), g.with_values(u_vals), v
 
 
 def output_trajectory(lti: AssociatedLti, E, x0,

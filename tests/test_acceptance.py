@@ -26,14 +26,18 @@ from daeobs import (
 from daeobs.cli import main as cli_main
 from daeobs.equivalence import randomized_construction, verify_equivalence
 from daeobs.fixtures import data_path
-from daeobs.lti import output_trajectory_from_v0
 from daeobs.observer import worst_case_bound
 from daeobs.problem_io import load_problem
 from daeobs.signals import SampledSignal, uniform_grid
 from daeobs.simulate import clean_realization, noise_system
 
 from .conftest import random_dae
-from .oracles import fd_dae_defect, optimal_cost, recover_input
+from .oracles import (
+    fd_dae_defect,
+    optimal_cost,
+    output_trajectory_from_v0,
+    recover_input,
+)
 from .test_geometric import check_subspace_against_zeroing_oracle
 
 

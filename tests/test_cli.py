@@ -244,6 +244,28 @@ class TestSimulate:
         assert err.startswith("error: horizon ")
         assert err.endswith(" is not a finite step count\n")
 
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("horizon", [1e16, 1e19, 1e300, "options"])
+    def test_step_count_beyond_one_array_exits_1(self, horizon, action,
+                                                 tmp_path, capsys):
+        # numpy used to refuse the grid: exit 13 with "Maximum allowed size
+        # exceeded"; "options" sets horizon 1e16 in the problem file
+        path, options = data_path("est_classical.json"), ["--horizon", horizon]
+        if horizon == "options":
+            doc = json.loads(path.read_text())
+            doc["options"]["horizon"] = horizon = 1e16
+            path, options = tmp_path / "long.json", []
+            path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code = run_cli(["simulate", path, "--output-dir", tmp_path / "sim",
+                            *options])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: horizon {horizon:g} over step 0.001 is {horizon * 1e3:g} "
+            "steps, more than one array can hold\n")
+        assert not (tmp_path / "sim" / "summary.json").exists()
+
     def test_zero_functional_trace_is_zero(self, tmp_path):
         doc = json.loads(data_path("est_classical.json").read_text())
         doc["matrices"]["ell"]["data"] = [0.0, 0.0, 0.0]
@@ -425,6 +447,59 @@ class TestFunctionalBeyondFloats:
         assert code == 0
         assert capsys.readouterr().out.startswith(
             f"observer synthesized: sigma = {sigma} ")
+
+
+class TestDataBeyondFloats:
+    """An identity whose tolerance overflows with the data's scale cannot
+    be checked: an input error (exit 1) naming it, and no report."""
+
+    @staticmethod
+    def _run(tmp_path, name, matrix, command, action):
+        doc = json.loads(data_path(name).read_text())
+        doc["matrices"][matrix]["data"][0] = 1.7e308
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        if command == "simulate":
+            dest, report = ["--output-dir", out], out / "summary.json"
+        else:
+            dest, report = ["--output", out], out
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code = run_cli([command, path, *dest])
+        assert not report.exists()
+        return code
+
+    # exits at the parent: 13, 12, 13, 12 and 2 under the default filter,
+    # all 13 under the error filter
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("name, matrix, command", [
+        ("ctrl_ode.json", "E", "associated-lti"),
+        ("ctrl_rank1.json", "E", "solve-lq"),
+        ("est_rank1.json", "F", "associated-lti"),
+        ("est_classical.json", "F", "synthesize-observer"),
+        ("est_undetectable.json", "F", "simulate"),
+    ])
+    def test_E_or_F_beyond_floats_exits_1(self, name, matrix, command, action,
+                                          tmp_path, capsys):
+        assert self._run(tmp_path, name, matrix, command, action) == 1
+        assert capsys.readouterr().err == (
+            "error: identity 'S E T = diag(I_r, 0)' cannot be checked: the "
+            "data's scale overflows the float range\n")
+
+    # exits at the parent: 0 with three identities checked against inf, and
+    # 2; under the error filter an overflow warning in the V* iteration's
+    # scale still ends these in exit 13
+    @pytest.mark.parametrize("name, matrix, command", [
+        ("ctrl_ode.json", "A_hat", "associated-lti"),
+        ("est_classical.json", "A", "simulate"),
+    ])
+    def test_A_beyond_floats_exits_1(self, name, matrix, command, tmp_path,
+                                     capsys):
+        assert self._run(tmp_path, name, matrix, command, "default") == 1
+        assert capsys.readouterr().err == (
+            "error: identity 'friend feasibility' cannot be checked: the "
+            "data's scale overflows the float range\n")
 
 
 class TestCheckEquivalence:

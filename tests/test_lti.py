@@ -13,12 +13,18 @@ from daeobs.cli import main
 from daeobs.equivalence import randomized_construction
 from daeobs.fixtures import data_path
 from daeobs.linalg import kernel_basis
-from daeobs.lti import assemble, output_trajectory_from_v0
+from daeobs.lti import assemble
 from daeobs.problem_io import load_problem
 from daeobs.signals import SampledSignal, uniform_grid
 
 from .conftest import random_dae
-from .oracles import fd_dae_defect, is_consistent, output_trajectory, recover_input
+from .oracles import (
+    fd_dae_defect,
+    is_consistent,
+    output_trajectory,
+    output_trajectory_from_v0,
+    recover_input,
+)
 
 
 def sine_input(k, grid, seed=0):

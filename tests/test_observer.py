@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -253,6 +255,23 @@ class TestTerminalWeight:
         assert worst_case_bound(synth, prob.ell, 0.0) >= synth.for_ell(prob.ell).sigma
         with pytest.raises(InputError, match="t1"):
             worst_case_bound(synth, prob.ell, t1)
+
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("name", ["est_classical.json", "est_rank1.json"])
+    def test_bound_is_sigma_at_a_huge_horizon(self, name, action):
+        # e^{A_c t1} by squaring: no overflow inside expm or in A_c t1, and
+        # the decaying transient underflows to 0; at t1 = 15 no squaring
+        prob = load_problem(str(data_path(name))).problem
+        synth = synthesize_estimator(prob.obs, prob.Q0, prob.Q, prob.R)
+        sigma = synth.for_ell(prob.ell).sigma
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            for t1 in (1e42, 1e150, 1e300, 1e308, np.finfo(float).max):
+                assert worst_case_bound(synth, prob.ell, t1) == sigma
+            bound = worst_case_bound(synth, prob.ell, 15.0)
+        vt = expm(synth.ctrl.A_c * 15.0) @ synth._output_row(prob.ell)
+        assert bound == sigma + max(float(vt @ synth.Q0_bar @ vt), 0.0)
 
 
 class TestSynthesize:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,17 @@ class TestSampledSignal:
                                           (1e300, 1e-10)])
     def test_uniform_grid_rejects_a_step_count_beyond_floats(self, t1, step):
         with pytest.raises(InputError, match="is not a finite step count"):
+            uniform_grid(t1, step)
+
+    # counts beyond numpy's array-size limit only: from about 1e8 to 1e18
+    # steps numpy would try to allocate the grid
+    @pytest.mark.parametrize("t1, step", [(1e16, 1e-3), (1e19, 1e-3),
+                                          (1e300, 1e-3), (2.0 ** 60, 1.0),
+                                          (2.0 ** 63, 1.0)])
+    def test_uniform_grid_rejects_a_step_count_beyond_one_array(self, t1, step):
+        message = (f"horizon {t1:g} over step {step:g} is {t1 / step:g} "
+                   "steps, more than one array can hold")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             uniform_grid(t1, step)
 
     def test_grid_is_a_private_read_only_copy(self):

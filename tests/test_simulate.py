@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,16 +21,22 @@ from daeobs import (
 from daeobs.fixtures import data_path
 from daeobs.observer import worst_case_bound
 from daeobs.problem_io import load_problem
-from daeobs.signals import SampledSignal, uniform_grid
+from daeobs.signals import SampledSignal, integrate_lti, uniform_grid
 from daeobs.simulate import (
     NOISE_MAX_FREQ,
+    _rho,
     _smooth_signal,
     clean_realization,
     noise_system,
     run_estimation,
 )
 
-from .oracles import coupled_run_reference, optimal_cost, smooth_signal_reference
+from .oracles import (
+    coupled_run_reference,
+    optimal_cost,
+    output_trajectory_from_v0,
+    smooth_signal_reference,
+)
 from .test_observer import classical_problem
 
 
@@ -38,6 +46,57 @@ def test_draws_reject_a_seed_that_is_not_a_nonnegative_integer(draw, seed):
     prob = classical_problem()
     with pytest.raises(InputError, match="seed must be a nonnegative integer"):
         draw(prob, 1.0, seed=seed)
+
+
+class _GridProducts(np.ndarray):
+    """A matrix that records each product it takes with an operand of more
+    than one column, i.e. with a signal over the grid."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if any(a is not self and np.ndim(a) == 2 and np.shape(a)[1] > 1
+               for a in inputs):
+            self.grid_products.append(ufunc.__name__)
+        inputs = [np.asarray(a) for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["est_classical.json", "est_rank1.json"])
+@pytest.mark.parametrize("noisy", [True, False])
+def test_draw_maps_only_f_and_x0(name, noisy, monkeypatch):
+    # a draw integrates its plant once and maps f over the grid and x at
+    # t = 0 only, bit for bit the full parametrization's maps; no product
+    # of C_s runs over the grid
+    import daeobs.simulate
+    prob = load_problem(str(data_path(name))).problem
+    rec = construct(noise_system(prob, noisy))
+    C_s = rec.lti.C_s.view(_GridProducts)
+    C_s.grid_products = []
+    rec = replace(rec, lti=replace(rec.lti, C_s=C_s))
+    plants, rhos = [], []
+
+    def recorded_integration(A, B, v0, g):
+        plants.append((v0, g))
+        return integrate_lti(A, B, v0, g)
+
+    def recorded_rho(*args):
+        rhos.append(args)
+        return _rho(*args)
+
+    monkeypatch.setattr(daeobs.simulate, "integrate_lti", recorded_integration)
+    monkeypatch.setattr(daeobs.simulate, "_rho", recorded_rho)
+    draw = sample_admissible if noisy else clean_realization
+    real = draw(prob, 3.0, seed=7, step=2e-3, record=rec)
+    assert C_s.grid_products == []
+    assert len(plants) == 1
+    x, u, v = output_trajectory_from_v0(rec.lti, *plants[0])
+    if noisy:
+        # the first rho is the unscaled draw's: (prob, x0, f, eta)
+        _, x0, f, _ = rhos[0]
+        assert x0.tobytes() == (prob.obs.F @ x.values[:, 0]).tobytes()
+        assert f.values.tobytes() == u.values.tobytes()
+    else:
+        assert v.values.tobytes() == real.v.values.tobytes()
+        assert u.dim == 0 and not real.f.values.any()
 
 
 class TestSampleAdmissible:
@@ -264,7 +323,6 @@ class TestEstimationExperiment:
     def test_one_integration_per_sample_and_per_run(self, monkeypatch):
         # the draw integrates the plant (n_hat states); the run scans only
         # the observer's states, on the plant samples the draw kept
-        import daeobs.lti
         import daeobs.signals
         import daeobs.simulate
         from daeobs.signals import _scan, integrate_lti
@@ -278,7 +336,7 @@ class TestEstimationExperiment:
             scans.append(M.shape[0])
             return _scan(M, *args)
 
-        monkeypatch.setattr(daeobs.lti, "integrate_lti", counted_integration)
+        monkeypatch.setattr(daeobs.simulate, "integrate_lti", counted_integration)
         monkeypatch.setattr(daeobs.signals, "_scan", counted_scan)
         monkeypatch.setattr(daeobs.simulate, "_scan", counted_scan)
         prob = classical_problem()
